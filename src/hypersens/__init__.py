@@ -60,6 +60,7 @@ from .sensitivity import (
     block_sensitivity_exact,
     certify_blocks,
     enumerate_sensitive_tuples,
+    evaluate_batch,
     minimal_sensitive_blocks,
     sensitivity_at,
     sensitivity_global,

@@ -264,7 +264,6 @@ def cmd_scan(args):
         k=args.k,
         i=args.i,
         h=args.h,
-        seed=args.seed,
         budget_ms=args.budget_ms,
         timings=args.timings,
     )
@@ -325,7 +324,6 @@ def cmd_selftest(args):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--budget-ms", type=int, default=60_000)
@@ -415,6 +413,8 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = "csv" if args.command == "scan" else "json"
     try:
+        if args.format == "csv" and args.command != "scan":
+            raise BadParameter(f"--format csv is not supported by {args.command}")
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

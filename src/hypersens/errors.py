@@ -95,6 +95,11 @@ class ValueIsOne(DomainError):
     pass
 
 
+class EvaluatorMismatch(RuntimeError):
+    """The batch evaluator disagreed with scalar `value`: a programming error
+    in some `patterns()`, hence not a DomainError."""
+
+
 # witnesses
 class TooSmall(DomainError):
     pass

@@ -5,6 +5,8 @@ Every property exposes
     n            -- input length in bits
     value(x)     -- the function value at the bitmask x, 0 or 1
     explain(x)   -- EvalResult with a re-verifiable witness when value is 1
+    patterns()   -- (care, want) pairs with value(x) = 1 iff x & care == want
+                    for some pair, the form the batch evaluator reads
 
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
@@ -93,6 +95,19 @@ class Property:
     def __call__(self, x) -> int:
         return self.value(x)
 
+    def patterns(self) -> tuple[tuple[int, int], ...] | None:
+        """The (care, want) pairs whose OR of x & care == want is value(x).
+
+        None when the function has no such form.  Built on first use and
+        cached on the instance.
+        """
+        if not hasattr(self, "_patterns"):
+            self._patterns = self._make_patterns()
+        return self._patterns
+
+    def _make_patterns(self):
+        return None
+
     def spec_json(self) -> dict:
         raise NotImplementedError
 
@@ -126,6 +141,14 @@ class RubinsteinProperty(Property):
             return EvalResult(0)
         return EvalResult(1, RubinsteinWitness(block=b, shift=0))
 
+    def _make_patterns(self):
+        k = self.k
+        return tuple(
+            (self._block_mask << b * k, good << b * k)
+            for b in range(k)
+            for good in sorted(self._good)
+        )
+
     def spec_json(self) -> dict:
         return {"variant": "rubinstein", "rubinstein_k": self.k}
 
@@ -156,6 +179,18 @@ class CyclicRubinsteinProperty(Property):
                 return EvalResult(1, RubinsteinWitness(block=b, shift=l))
         return EvalResult(0)
 
+    def _make_patterns(self):
+        # rotate_left(x, l) matches (care, want) iff x matches both rotated
+        # right by l; rotations by a multiple of k repeat block terms
+        n = self.n
+        return tuple(
+            dict.fromkeys(
+                (rotate_left(care, -l, n), rotate_left(want, -l, n))
+                for l in range(n)
+                for care, want in self._base.patterns()
+            )
+        )
+
     def spec_json(self) -> dict:
         return {"variant": "cyclic-rubinstein", "rubinstein_k": self.k}
 
@@ -171,6 +206,23 @@ class GraphPropertyBase(Property):
 
     def graph(self, bits: int) -> Hypergraph:
         return Hypergraph(self.v, self.k, bits)
+
+    def _isolation_patterns(self, h: int, i: int):
+        """One term per h-set S: want is the C(h,k) edges inside S, and care
+        adds every edge meeting S in i..k-1 vertices, which must be absent."""
+        edges = self._edges((1 << self.n) - 1)
+        terms = []
+        for S in combinations(range(self.v), h):
+            inside = frozenset(S)
+            care = want = 0
+            for rank, e in enumerate(edges):
+                c = sum(1 for u in e if u in inside)
+                if c >= i:
+                    care |= 1 << rank
+                if c == self.k:
+                    want |= 1 << rank
+            terms.append((care, want))
+        return tuple(terms)
 
 
 class IsolatedVertexProperty(GraphPropertyBase):
@@ -200,6 +252,10 @@ class IsolatedVertexProperty(GraphPropertyBase):
             if u not in touched:
                 return EvalResult(1, (u,))
         return EvalResult(0)
+
+    def _make_patterns(self):
+        # an isolated vertex is an isolated 1-set: its star must be empty
+        return self._isolation_patterns(1, 1)
 
     def spec_json(self) -> dict:
         return {"variant": "isolated-vertex", "v": self.v, "k": 2}
@@ -246,6 +302,9 @@ class IsolatedTriangleProperty(GraphPropertyBase):
     def explain(self, x) -> EvalResult:
         S = self._find(as_bits(x, self.n))
         return EvalResult(0) if S is None else EvalResult(1, S)
+
+    def _make_patterns(self):
+        return self._isolation_patterns(3, 1)
 
     def spec_json(self) -> dict:
         return {"variant": "isolated-triangle", "v": self.v, "k": 2}
@@ -321,6 +380,9 @@ class IsolatedCliqueProperty(GraphPropertyBase):
     def explain(self, x) -> EvalResult:
         S = self._find(as_bits(x, self.n))
         return EvalResult(0) if S is None else EvalResult(1, S)
+
+    def _make_patterns(self):
+        return self._isolation_patterns(self.h, self.i)
 
     def spec_json(self) -> dict:
         return {

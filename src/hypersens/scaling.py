@@ -179,16 +179,10 @@ def run_scan(
     k: int | None = None,
     i: int | None = None,
     h: int | None = None,
-    seed: int = 0,
     budget_ms: int = 60_000,
     timings: bool = False,
 ) -> ScanResult:
-    """One ScalingRow per v plus a fit per measured column.
-
-    All implemented columns are deterministic constructions, so `seed` is
-    accepted for interface stability but does not influence the rows.
-    """
-    del seed
+    """One ScalingRow per v plus a fit per measured column."""
     v_values = list(v_values)
     if not v_values:
         raise BadParameter("empty v range")

@@ -1,5 +1,22 @@
 """Exact sensitivity and block-sensitivity computation.
 
+Exhaustive work runs on a batch evaluator: a property whose `patterns()`
+gives (care, want) terms is evaluated on a uint64 numpy array of inputs as
+the OR of x & care == want over its terms (bit-slicing in the sense of
+Biham, FSE 1997: one pass of word operations covers a whole chunk of
+inputs).  A function without terms, such as an arbitrary table, falls back
+to one scalar `value` call per input.  `truth_table` evaluates chunks of
+consecutive inputs; `minimal_sensitive_blocks` scans block sizes in
+ascending order, one level of same-size masks at a time, skips a mask
+unevaluated when one of its one-bit-smaller subsets already holds a
+sensitive block, and evaluates the rest of the level as one batch.
+
+Batch results leave the engine only after the scalar evaluator has checked
+them: `sensitivity_global` recomputes s at its argmax with `sensitivity_at`
+and raises EvaluatorMismatch on a difference, and `block_sensitivity_exact`
+builds its certificate through `certify_blocks`, which re-evaluates every
+block.
+
 Block sensitivity is computed by packing inclusion-minimal sensitive blocks:
 every sensitive block contains a minimal one, and replacing the blocks of a
 disjoint family by minimal sub-blocks keeps the family disjoint, so the
@@ -16,12 +33,14 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (
     CellBudgetExceeded,
+    EvaluatorMismatch,
     NonSensitiveBlock,
     OverlappingBlocks,
     TooLarge,
@@ -36,6 +55,11 @@ from .properties import (
 
 GLOBAL_BUDGET_BITS = 24
 MAX_PACKING_BLOCKS = 10_000
+BATCH_BITS = 64  # inputs travel as uint64
+BATCH_CHUNK = 1 << 14  # inputs per batch call, bounding temporary arrays
+# block-scan levels up to this many masks are kept between calls; larger
+# ones are rebuilt per call, so that the cache stays small
+LEVEL_CACHE_MASKS = 1 << 14
 
 
 def input_digest(n: int, bits: int) -> str:
@@ -127,22 +151,50 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
     )
 
 
+def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
+    """f at every input of the uint64 array xs, as a bool array.
+
+    The OR of xs & care == want over f.patterns(); one scalar `value` call
+    per input when f has no patterns.
+    """
+    if f.n > BATCH_BITS:
+        raise TooLarge(f"batch evaluation needs n <= {BATCH_BITS}, got {f.n}")
+    patterns = getattr(f, "patterns", None)
+    terms = patterns() if patterns is not None else None
+    if terms is None:
+        value = f.value
+        return np.fromiter(
+            (value(int(x)) for x in xs), dtype=bool, count=len(xs)
+        )
+    out = np.zeros(len(xs), dtype=bool)
+    masked = np.empty(len(xs), dtype=np.uint64)
+    for care, want in terms:
+        np.bitwise_and(xs, np.uint64(care), out=masked)
+        out |= masked == np.uint64(want)
+    return out
+
+
 def truth_table(f, deadline=None) -> np.ndarray:
     """f on all 2^n inputs as a uint8 array indexed by the input bitmask."""
-    n = f.n
-    table = np.empty(1 << n, dtype=np.uint8)
-    value = f.value
-    for x in range(1 << n):
-        if x % 4096 == 0:
-            _check_deadline(deadline)
-        table[x] = value(x)
+    size = 1 << f.n
+    table = np.empty(size, dtype=np.uint8)
+    for start in range(0, size, BATCH_CHUNK):
+        _check_deadline(deadline)
+        stop = min(start + BATCH_CHUNK, size)
+        table[start:stop] = evaluate_batch(
+            f, np.arange(start, stop, dtype=np.uint64)
+        )
     return table
 
 
 def sensitivity_global(
     f, budget_bits: int = GLOBAL_BUDGET_BITS, deadline=None
 ) -> GlobalSensitivity:
-    """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask."""
+    """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask.
+
+    The batch truth table's value is re-checked by `sensitivity_at` at the
+    argmax; EvaluatorMismatch if the two disagree.
+    """
     n = f.n
     if n > budget_bits:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
@@ -155,47 +207,99 @@ def sensitivity_global(
         flipped = table.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
         s_at += table != flipped
     argmax = int(np.argmax(s_at))  # first occurrence = smallest input
+    check = sensitivity_at(f, argmax, deadline)
+    if (check.f_value, check.s_at_x) != (table[argmax], s_at[argmax]):
+        raise EvaluatorMismatch(
+            f"batch table gives f={table[argmax]}, s={s_at[argmax]} at input"
+            f" {argmax}; scalar value gives f={check.f_value}, s={check.s_at_x}"
+        )
     zeros = s_at[table == 0]
     ones = s_at[table == 1]
     return GlobalSensitivity(
-        value=int(s_at[argmax]),
+        value=check.s_at_x,
         argmax=argmax,
         s0=int(zeros.max()) if zeros.size else 0,
         s1=int(ones.max()) if ones.size else 0,
     )
 
 
+def _next_level(prev: np.ndarray, n: int) -> np.ndarray:
+    """Sorted masks below 2^n with one bit more than the sorted masks prev.
+
+    Each mask of prev gains one bit b above its top bit; grouped by b, the
+    results come out already in ascending order.
+    """
+    return np.concatenate(
+        [prev[: np.searchsorted(prev, 1 << b)] | np.uint32(1 << b) for b in range(n)]
+    )
+
+
+def _subset_rows(masks: np.ndarray, prev: np.ndarray, size: int) -> np.ndarray:
+    """For each mask, the rows in prev of its `size` one-bit-smaller subsets."""
+    rows = np.empty((len(masks), size), dtype=np.min_scalar_type(len(prev) - 1))
+    rest = masks.copy()
+    for j in range(size):
+        low = rest & -rest
+        rest ^= low
+        rows[:, j] = np.searchsorted(prev, masks ^ low)
+    return rows
+
+
+@lru_cache(maxsize=64)
+def _cached_level(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, subset rows) of one level; only for levels whose chain
+    1..size stays within LEVEL_CACHE_MASKS, so rows fit in uint16."""
+    prev = _cached_level(n, size - 1)[0] if size > 1 else np.zeros(1, np.uint32)
+    masks = _next_level(prev, n)
+    rows = _subset_rows(masks, prev, size)
+    masks.flags.writeable = rows.flags.writeable = False
+    return masks, rows
+
+
 def minimal_sensitive_blocks(
     f, x, max_block_size: int, deadline=None
 ) -> list[tuple[int, ...]]:
-    """All inclusion-minimal sensitive blocks of size <= max_block_size at x."""
+    """All inclusion-minimal sensitive blocks of size <= max_block_size at x,
+    as sorted position tuples in lexicographic order."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"block scan over an n={n} input is out of scope")
     if not 1 <= max_block_size <= n:
         raise TooLarge(f"need 1 <= max_block_size <= {n}")
     bits = as_bits(x, n)
-    fx = f.value(bits)
-    found_masks: list[int] = []
-    found: list[tuple[int, ...]] = []
-    scanned = 0
+    fx = bool(f.value(bits))
+    found: list[int] = []
+    # level 0 is the empty block, which flips nothing
+    prev = np.zeros(1, dtype=np.uint32)
+    held = np.zeros(1, dtype=bool)  # mask is or contains a sensitive block
     for size in range(1, max_block_size + 1):
-        for block in combinations(range(n), size):
-            scanned += 1
-            if scanned % 2048 == 0:
-                _check_deadline(deadline)
-            mask = 0
-            for i in block:
-                mask |= 1 << i
-            # a sensitive proper subset would contain an already-found
-            # minimal block, since sizes are scanned in ascending order
-            if any(m & mask == m for m in found_masks):
-                continue
-            if f.value(bits ^ mask) != fx:
-                found_masks.append(mask)
-                found.append(block)
-    found.sort()
-    return found
+        if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
+            masks, rows = _cached_level(n, size)
+        else:
+            masks, rows = _next_level(prev, n), None
+        level_held = np.empty(len(masks), dtype=bool)
+        for start in range(0, len(masks), BATCH_CHUNK):
+            _check_deadline(deadline)
+            chunk = masks[start : start + BATCH_CHUNK]
+            sub = (
+                rows[start : start + BATCH_CHUNK]
+                if rows is not None
+                else _subset_rows(chunk, prev, size)
+            )
+            # a sensitive proper subset would contain a found minimal
+            # block, and so would one of the one-bit-smaller subsets
+            chunk_held = held[sub].any(axis=1)
+            todo = np.flatnonzero(~chunk_held)
+            if todo.size:
+                candidates = chunk[todo]
+                hit = evaluate_batch(f, np.uint64(bits) ^ candidates) != fx
+                chunk_held[todo[hit]] = True
+                found.extend(int(m) for m in candidates[hit])
+            level_held[start : start + len(chunk)] = chunk_held
+        if level_held.all():
+            break  # every larger mask contains a found block
+        prev, held = masks, level_held
+    return sorted(tuple(i for i in range(n) if m >> i & 1) for m in found)
 
 
 def _pack_blocks(blocks: list[int], deadline=None) -> tuple[int, list[int]]:
@@ -242,14 +346,10 @@ def block_sensitivity_exact(
         for i in b:
             m |= 1 << i
         masks.append(m)
-    count, picked = _pack_blocks(masks, deadline)
-    cert = BlockCertificate(
-        digest=input_digest(f.n, bits),
-        blocks=tuple(blocks[j] for j in picked),
-        count=count,
-    )
+    _, picked = _pack_blocks(masks, deadline)
+    cert = certify_blocks(f, bits, [blocks[j] for j in picked])
     return BlockSensitivity(
-        value=count, certificate=cert, capped=max_block_size < f.n
+        value=cert.count, certificate=cert, capped=max_block_size < f.n
     )
 
 

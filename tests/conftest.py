@@ -123,13 +123,18 @@ def milp_pack(blocks, n):
 def minimal_blocks_from_table(table, x, n):
     """All inclusion-minimal sensitive blocks (any size) at x, as bitmasks,
     straight off the truth table: B is minimal iff it is sensitive and no
-    B-minus-one-bit subset is."""
+    B-minus-one-bit subset contains a sensitive block."""
     idx = np.arange(1 << n)
     sens = table[idx ^ x] != table[x]
+    # holds[B]: B or one of its subsets is sensitive (a superset transform)
+    holds = sens.copy()
+    for i in range(n):
+        has_i = idx >> i & 1 == 1
+        holds[has_i] |= holds[idx[has_i] ^ (1 << i)]
     minimal = sens.copy()
     for i in range(n):
-        has_i = (idx >> i & 1).astype(bool)
-        minimal &= ~has_i | ~sens[idx ^ (1 << i)]
+        has_i = idx >> i & 1 == 1
+        minimal &= ~has_i | ~holds[idx ^ (1 << i)]
     minimal[0] = False
     return [int(b) for b in np.nonzero(minimal)[0]]
 

@@ -145,6 +145,21 @@ def test_scan_json_format(capsys):
     assert "s_lower" in payload["fits"]
 
 
+def test_csv_outside_scan_is_domain_error(capsys):
+    code, out, err = run(
+        capsys, "sens", "--property", "isolated-vertex", "--v", "5",
+        "--input", "witness", "--format", "csv",
+    )
+    assert code == 1 and out == ""
+    assert "--format csv" in err and "sens" in err
+    code, _, _ = run(capsys, "selftest", "--format", "csv")
+    assert code == 1
+
+
+def test_seed_flag_is_gone(capsys):
+    assert run(capsys, "selftest", "--seed", "3")[0] == 2
+
+
 def test_scan_budget_breach_warns_and_blanks(capsys):
     code, out, err = run(
         capsys, "scan", "--property", "isolated-triangle", "--v-start", "9",

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from conftest import naive_isolated_clique_value
 
@@ -31,6 +32,8 @@ from hypersens.properties import (
     rotate_left,
 )
 from hypersens.rng import SplitMix64
+from hypersens.sensitivity import evaluate_batch
+from hypersens.witnesses import build_isolated_vertex_witness, build_s1_witness
 
 
 def verify_rubinstein_witness(k, x, witness):
@@ -231,6 +234,74 @@ class TestIsomorphismInvariance:
             G = Hypergraph(prop.v, prop.k, rng.bits(prop.n))
             sigma = rng.permutation(prop.v)
             assert prop.value(G) == prop.value(G.relabel(sigma))
+
+
+def _spec_id(prop):
+    spec = prop.spec_json()
+    return "-".join([spec.pop("variant")] + [f"{k}{v}" for k, v in spec.items()])
+
+
+class TestBatchEvaluator:
+    """evaluate_batch over the (care, want) patterns against scalar value."""
+
+    @pytest.mark.parametrize(
+        "prop",
+        [
+            RubinsteinProperty(2),
+            RubinsteinProperty(4),
+            CyclicRubinsteinProperty(2),
+            CyclicRubinsteinProperty(4),
+            *(IsolatedVertexProperty(v) for v in range(1, 7)),
+            *(IsolatedTriangleProperty(v) for v in range(3, 7)),
+            IsolatedCliqueProperty(5, 3, 1, 4),
+            IsolatedCliqueProperty(5, 3, 2, 4),
+            IsolatedCliqueProperty(5, 3, 1, 5),
+            IsolatedCliqueProperty(5, 2, 1, 3),
+            IsolatedCliqueProperty(5, 3, 3, 4, allow_i_equal_k=True),
+        ],
+        ids=_spec_id,
+    )
+    def test_every_input(self, prop):
+        xs = np.arange(1 << prop.n, dtype=np.uint64)
+        expected = [prop.value(x) for x in range(1 << prop.n)]
+        assert evaluate_batch(prop, xs).tolist() == [bool(e) for e in expected]
+
+    @pytest.mark.parametrize(
+        "prop",
+        [
+            IsolatedCliqueProperty(6, 3, 2, 4),
+            IsolatedCliqueProperty(6, 3, 1, 4),
+            IsolatedVertexProperty(7),
+            IsolatedTriangleProperty(7),
+        ],
+        ids=_spec_id,
+    )
+    def test_seeded_inputs_at_n_20_21(self, prop):
+        # uniform inputs, and planted witnesses under a random relabelling
+        # and a sparse random flip mask, so that both values occur
+        if isinstance(prop, IsolatedVertexProperty):
+            planted = build_isolated_vertex_witness(prop.v)
+        elif isinstance(prop, IsolatedTriangleProperty):
+            planted = build_s1_witness(prop.v, 2, 1, 3)
+        else:
+            planted = build_s1_witness(prop.v, prop.k, prop.i, prop.h)
+        rng = SplitMix64(43)
+        inputs = []
+        for j in range(10_000):
+            x = rng.bits(prop.n)
+            if j % 2:
+                sparse = rng.bits(prop.n) & rng.bits(prop.n) & x
+                x = planted.relabel(rng.permutation(prop.v)).bits ^ sparse
+            inputs.append(x)
+        got = evaluate_batch(prop, np.array(inputs, dtype=np.uint64))
+        assert got.tolist() == [bool(prop.value(x)) for x in inputs]
+        # both values occur, so neither side can pass by being constant
+        assert 0 < got.sum() < len(inputs)
+
+    def test_patterns_are_cached(self):
+        f = IsolatedTriangleProperty(5)
+        assert f.patterns() is f.patterns()
+        assert len(f.patterns()) == math.comb(5, 3)
 
 
 def test_property_json_round_trip():

@@ -2,10 +2,18 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
-from conftest import BitsProperty, bs_brute, or_property, table_property
+from conftest import (
+    BitsProperty,
+    bs_brute,
+    minimal_blocks_from_table,
+    or_property,
+    table_property,
+)
 
 from hypersens.errors import (
+    EvaluatorMismatch,
     NonSensitiveBlock,
     OverlappingBlocks,
     TooLarge,
@@ -13,6 +21,7 @@ from hypersens.errors import (
 )
 from hypersens.hypergraphs import Hypergraph, rank_subset
 from hypersens.properties import (
+    CyclicRubinsteinProperty,
     IsolatedCliqueProperty,
     IsolatedTriangleProperty,
     IsolatedVertexProperty,
@@ -91,6 +100,19 @@ class TestSensitivityGlobal:
         with pytest.raises(TooLarge):
             sensitivity_global(BitsProperty(30, lambda x: 0))
 
+    def test_wrong_patterns_are_caught(self):
+        class ForgetsLastVertex(IsolatedVertexProperty):
+            """An off-by-one pattern list: no term for vertex v-1."""
+
+            def patterns(self):
+                return super().patterns()[:-1]
+
+        # the batch table puts s = 3 at input 1, where scalar value gives 1;
+        # the re-check covers the argmax only, so the property tests' batch
+        # oracle remains what guards patterns() everywhere else
+        with pytest.raises(EvaluatorMismatch):
+            sensitivity_global(ForgetsLastVertex(4))
+
 
 class TestMinimalBlocks:
     def test_or_at_zero_gives_singletons(self):
@@ -115,6 +137,41 @@ class TestMinimalBlocks:
         f = BitsProperty(6, lambda x: int(x & 0b11 != 0))
         blocks = minimal_sensitive_blocks(f, 0, 6)
         assert blocks == [(0,), (1,)]
+
+
+def _scalar_table(f):
+    return np.array([f.value(x) for x in range(1 << f.n)], dtype=np.uint8)
+
+
+_SCAN_CASES = [
+    (RubinsteinProperty(2), 4),
+    (RubinsteinProperty(4), 5),
+    (CyclicRubinsteinProperty(2), 4),
+    (CyclicRubinsteinProperty(4), 8),
+    (IsolatedVertexProperty(5), 10),
+    (IsolatedVertexProperty(6), 6),
+    (IsolatedTriangleProperty(5), 10),
+    (IsolatedTriangleProperty(6), 5),
+    (IsolatedCliqueProperty(5, 3, 1, 4), 10),
+    (IsolatedCliqueProperty(5, 3, 2, 4), 6),
+    (table_property(SplitMix64(47).bits(1 << 10), 10), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "f, cap", _SCAN_CASES, ids=[f"{f.name}-n{f.n}-cap{c}" for f, c in _SCAN_CASES]
+)
+def test_minimal_blocks_match_table_oracle(f, cap):
+    """The level scan against the truth-table oracle; the table property has
+    no patterns, so it exercises the scalar fallback."""
+    table = _scalar_table(f)
+    rng = SplitMix64(53)
+    for x in [0] + [rng.bits(f.n) for _ in range(4)]:
+        oracle = [
+            b for b in minimal_blocks_from_table(table, x, f.n) if b.bit_count() <= cap
+        ]
+        expected = sorted(tuple(i for i in range(f.n) if b >> i & 1) for b in oracle)
+        assert minimal_sensitive_blocks(f, x, cap) == expected, (f.name, x)
 
 
 class TestBlockSensitivityExact:
