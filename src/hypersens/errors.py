@@ -96,8 +96,9 @@ class ValueIsOne(DomainError):
 
 
 class EvaluatorMismatch(RuntimeError):
-    """The batch evaluator disagreed with scalar `value`: a programming error
-    in some `patterns()`, hence not a DomainError."""
+    """The batch evaluator disagreed with scalar `value`, or a witness term
+    failed its checks: a programming error in some `patterns()` or
+    `witness_term()`, hence not a DomainError."""
 
 
 # witnesses

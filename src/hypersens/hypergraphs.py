@@ -55,7 +55,10 @@ def unrank_subset(r: int, v: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def subset_table(v: int, k: int):
     """(tuple of all k-subsets in colex order, dict subset -> rank)."""
-    subs = tuple(unrank_subset(r, v, k) for r in range(math.comb(v, k)))
+    # colex order is lex order on the tuples read from the largest vertex
+    # down; combinations over v-1, ..., 0 yield those read-down tuples in
+    # lex order from the largest, so both the tuples and the list are reversed
+    subs = tuple(c[::-1] for c in combinations(range(v - 1, -1, -1), k))[::-1]
     return subs, {s: r for r, s in enumerate(subs)}
 
 

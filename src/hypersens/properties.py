@@ -7,6 +7,12 @@ Every property exposes
     explain(x)   -- EvalResult with a re-verifiable witness when value is 1
     patterns()   -- (care, want) pairs with value(x) = 1 iff x & care == want
                     for some pair, the form the batch evaluator reads
+    witness_term(x)
+                 -- at f(x) = 1, the (care, want) term of the witness that
+                    explain(x) finds; every y with y & care == want has
+                    f(y) = 1, so only a care bit of x can be sensitive
+    witness_term_size()
+                 -- popcount of every witness term's care, by closed form
 
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
@@ -28,7 +34,7 @@ from .errors import (
     SpecMismatch,
     WrongArity,
 )
-from .hypergraphs import Hypergraph, edges_of_bits, rank_lookup
+from .hypergraphs import Hypergraph, boundary_count, edges_of_bits, rank_lookup
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,15 @@ class Property:
     def _make_patterns(self):
         return None
 
+    def witness_term(self, x) -> tuple[int, int] | None:
+        """The (care, want) term of explain(x)'s witness, None at f(x) = 0
+        or when the function has no such form."""
+        return None
+
+    def witness_term_size(self) -> int | None:
+        """Closed-form popcount of the care of every witness_term."""
+        return None
+
     def spec_json(self) -> dict:
         raise NotImplementedError
 
@@ -148,6 +163,20 @@ class RubinsteinProperty(Property):
             for b in range(k)
             for good in sorted(self._good)
         )
+
+    def _block_term(self, x, res: EvalResult) -> tuple[int, int] | None:
+        """The term of the witness block, rotated back by the witness shift."""
+        if res.value == 0:
+            return None
+        w = res.witness
+        care = rotate_left(self._block_mask << w.block * self.k, -w.shift, self.n)
+        return care, as_bits(x, self.n) & care
+
+    def witness_term(self, x):
+        return self._block_term(x, self.explain(x))
+
+    def witness_term_size(self) -> int:
+        return self.k
 
     def spec_json(self) -> dict:
         return {"variant": "rubinstein", "rubinstein_k": self.k}
@@ -191,15 +220,26 @@ class CyclicRubinsteinProperty(Property):
             )
         )
 
+    def witness_term(self, x):
+        return self._base._block_term(x, self.explain(x))
+
+    def witness_term_size(self) -> int:
+        return self.k
+
     def spec_json(self) -> dict:
         return {"variant": "cyclic-rubinstein", "rubinstein_k": self.k}
 
 
 class GraphPropertyBase(Property):
-    """Common edge-list plumbing for the graph/hypergraph properties."""
+    """Common plumbing for the graph/hypergraph properties, each of which is
+    1 iff some h-set S holds all C(h,k) edges inside it and no edge meeting
+    it in i..k-1 vertices (an isolated vertex is h = 1, a triangle h = 3,
+    both with i = 1)."""
 
     v: int
     k: int
+    i: int
+    h: int
 
     def _edges(self, bits: int):
         return edges_of_bits(self.v, self.k, bits)
@@ -207,22 +247,37 @@ class GraphPropertyBase(Property):
     def graph(self, bits: int) -> Hypergraph:
         return Hypergraph(self.v, self.k, bits)
 
-    def _isolation_patterns(self, h: int, i: int):
-        """One term per h-set S: want is the C(h,k) edges inside S, and care
-        adds every edge meeting S in i..k-1 vertices, which must be absent."""
-        edges = self._edges((1 << self.n) - 1)
-        terms = []
-        for S in combinations(range(self.v), h):
-            inside = frozenset(S)
-            care = want = 0
-            for rank, e in enumerate(edges):
-                c = sum(1 for u in e if u in inside)
-                if c >= i:
-                    care |= 1 << rank
-                if c == self.k:
-                    want |= 1 << rank
-            terms.append((care, want))
-        return tuple(terms)
+    def _isolation_term(self, S) -> tuple[int, int]:
+        """The term of the sorted h-set S: want is the C(h,k) edges inside S,
+        and care is every k-set meeting S in at least i vertices, so care
+        minus want is the edges that must be absent."""
+        k = self.k
+        rank_of = rank_lookup(self.v, k)
+        inside = set(S)
+        outside = [u for u in range(self.v) if u not in inside]
+        care = 0
+        for j in range(self.i, k + 1):
+            for a in combinations(S, j):
+                for b in combinations(outside, k - j):
+                    care |= 1 << rank_of(tuple(sorted(a + b)))
+        want = 0
+        for e in combinations(S, k):
+            want |= 1 << rank_of(e)
+        return care, want
+
+    def _make_patterns(self):
+        return tuple(
+            self._isolation_term(S) for S in combinations(range(self.v), self.h)
+        )
+
+    def witness_term(self, x):
+        res = self.explain(x)
+        return None if res.value == 0 else self._isolation_term(res.witness)
+
+    def witness_term_size(self) -> int:
+        return math.comb(self.h, self.k) + boundary_count(
+            self.v, self.h, self.i, self.k
+        )
 
 
 class IsolatedVertexProperty(GraphPropertyBase):
@@ -233,6 +288,8 @@ class IsolatedVertexProperty(GraphPropertyBase):
             raise BadParameter("need v >= 1")
         self.v = v
         self.k = 2
+        self.i = 1
+        self.h = 1
         self.n = math.comb(v, 2)
         self.name = "isolated-vertex"
 
@@ -253,10 +310,6 @@ class IsolatedVertexProperty(GraphPropertyBase):
                 return EvalResult(1, (u,))
         return EvalResult(0)
 
-    def _make_patterns(self):
-        # an isolated vertex is an isolated 1-set: its star must be empty
-        return self._isolation_patterns(1, 1)
-
     def spec_json(self) -> dict:
         return {"variant": "isolated-vertex", "v": self.v, "k": 2}
 
@@ -274,6 +327,8 @@ class IsolatedTriangleProperty(GraphPropertyBase):
             raise BadParameter("need v >= 3")
         self.v = v
         self.k = 2
+        self.i = 1
+        self.h = 3
         self.n = math.comb(v, 2)
         self.name = "isolated-triangle"
 
@@ -302,9 +357,6 @@ class IsolatedTriangleProperty(GraphPropertyBase):
     def explain(self, x) -> EvalResult:
         S = self._find(as_bits(x, self.n))
         return EvalResult(0) if S is None else EvalResult(1, S)
-
-    def _make_patterns(self):
-        return self._isolation_patterns(3, 1)
 
     def spec_json(self) -> dict:
         return {"variant": "isolated-triangle", "v": self.v, "k": 2}
@@ -380,9 +432,6 @@ class IsolatedCliqueProperty(GraphPropertyBase):
     def explain(self, x) -> EvalResult:
         S = self._find(as_bits(x, self.n))
         return EvalResult(0) if S is None else EvalResult(1, S)
-
-    def _make_patterns(self):
-        return self._isolation_patterns(self.h, self.i)
 
     def spec_json(self) -> dict:
         return {

@@ -3,7 +3,8 @@
 A sweep produces one row per v with up to four measured columns:
 
     s_lower   certified sensitivity lower bound: s(f, w) at the canonical
-              1-side witness w, every bit re-verified by evaluation
+              1-side witness w; every care bit of w's verified witness
+              term is evaluated, and the rest are non-sensitive by it
     s_exact   exhaustive max over all 2^n inputs (n <= 24 only)
     bs_lower  size of the edge-disjoint packing certificate at the empty
               input, every block re-verified by evaluation

@@ -1,5 +1,12 @@
 """Exact sensitivity and block-sensitivity computation.
 
+`sensitivity_at` evaluates f at x and then at single-bit flips.  At
+f(x) = 1 a property that gives the (care, want) term of its witness
+(`witness_term`) is flipped only on the care bits: every other flip keeps
+x & care == want, so f stays 1.  The term is checked against x and against
+its closed-form care count before any bit is skipped.  At f(x) = 0, and for
+a function without terms, every bit is flipped and evaluated.
+
 Exhaustive work runs on a batch evaluator: a property whose `patterns()`
 gives (care, want) terms is evaluated on a uint64 numpy array of inputs as
 the OR of x & care == want over its terms (bit-slicing in the sense of
@@ -12,10 +19,11 @@ unevaluated when one of its one-bit-smaller subsets already holds a
 sensitive block, and evaluates the rest of the level as one batch.
 
 Batch results leave the engine only after the scalar evaluator has checked
-them: `sensitivity_global` recomputes s at its argmax with `sensitivity_at`
-and raises EvaluatorMismatch on a difference, and `block_sensitivity_exact`
-builds its certificate through `certify_blocks`, which re-evaluates every
-block.
+them: `sensitivity_global` compares its table with scalar `value` at 256
+fixed inputs and recomputes s at the argmax of s0 and of s1 with
+`sensitivity_at`, raising EvaluatorMismatch on any difference, and
+`block_sensitivity_exact` builds its certificate through `certify_blocks`,
+which re-evaluates every block.
 
 Block sensitivity is computed by packing inclusion-minimal sensitive blocks:
 every sensitive block contains a minimal one, and replacing the blocks of a
@@ -47,13 +55,14 @@ from .errors import (
     ValueIsOne,
 )
 from .hypergraphs import edges_of_bits, rank_lookup
-from .properties import (
-    IsolatedCliqueProperty,
-    IsolatedTriangleProperty,
-    as_bits,
-)
+from .properties import as_bits
+from .rng import SplitMix64
 
 GLOBAL_BUDGET_BITS = 24
+# sensitivity_global compares its batch table with scalar value at this
+# many inputs, drawn from a fixed seed
+GLOBAL_CHECK_SAMPLES = 256
+GLOBAL_CHECK_SEED = 0x5EED
 MAX_PACKING_BLOCKS = 10_000
 BATCH_BITS = 64  # inputs travel as uint64
 BATCH_CHUNK = 1 << 14  # inputs per batch call, bounding temporary arrays
@@ -133,12 +142,30 @@ class SensitiveTuple:
 
 
 def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
-    """f at x and at every single-bit flip."""
+    """f at x and at every single-bit flip, in ascending bit order.
+
+    At f(x) = 1, when f gives a witness term (care, want), only the care
+    bits are flipped and evaluated: every other flip keeps x & care == want
+    and so f = 1.  The term is checked first (x must match it, and its care
+    must have the closed-form popcount); EvaluatorMismatch if it does not.
+    """
     bits = as_bits(x, f.n)
     fx = f.value(bits)
+    positions = range(f.n)
+    witness_term = getattr(f, "witness_term", None)
+    term = witness_term(bits) if fx and witness_term is not None else None
+    if term is not None:
+        care, want = term
+        size = f.witness_term_size()
+        if bits & care != want or care.bit_count() != size:
+            raise EvaluatorMismatch(
+                f"witness term of {f.name} does not match the input or has"
+                f" {care.bit_count()} care bits instead of {size}"
+            )
+        positions = _ascending_bits(care)
     sensitive = []
-    for i in range(f.n):
-        if i % 512 == 0:
+    for count, i in enumerate(positions):
+        if count % 512 == 0:
             _check_deadline(deadline)
         if f.value(bits ^ (1 << i)) != fx:
             sensitive.append(i)
@@ -149,6 +176,13 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
         s_at_x=len(sensitive),
         polarity="s1" if fx else "s0",
     )
+
+
+def _ascending_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
@@ -192,13 +226,23 @@ def sensitivity_global(
 ) -> GlobalSensitivity:
     """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask.
 
-    The batch truth table's value is re-checked by `sensitivity_at` at the
-    argmax; EvaluatorMismatch if the two disagree.
+    The batch truth table is compared with scalar `value` at
+    GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs, and s is recomputed by
+    `sensitivity_at` at the argmax of s0 and of s1; EvaluatorMismatch on
+    any difference.
     """
     n = f.n
     if n > budget_bits:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
     table = truth_table(f, deadline)
+    rng = SplitMix64(GLOBAL_CHECK_SEED)
+    for _ in range(GLOBAL_CHECK_SAMPLES):
+        x = rng.bits(n)
+        if f.value(x) != table[x]:
+            raise EvaluatorMismatch(
+                f"batch table gives f={table[x]} at input {x}; scalar value"
+                f" gives f={f.value(x)}"
+            )
     s_at = np.zeros(1 << n, dtype=np.uint32)
     for i in range(n):
         _check_deadline(deadline)
@@ -206,20 +250,25 @@ def sensitivity_global(
         # is a swap along the middle axis
         flipped = table.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
         s_at += table != flipped
-    argmax = int(np.argmax(s_at))  # first occurrence = smallest input
-    check = sensitivity_at(f, argmax, deadline)
-    if (check.f_value, check.s_at_x) != (table[argmax], s_at[argmax]):
-        raise EvaluatorMismatch(
-            f"batch table gives f={table[argmax]}, s={s_at[argmax]} at input"
-            f" {argmax}; scalar value gives f={check.f_value}, s={check.s_at_x}"
-        )
-    zeros = s_at[table == 0]
-    ones = s_at[table == 1]
+    s_max = [0, 0]
+    for fx in (0, 1):
+        side = table == fx
+        if not side.any():
+            continue
+        s_max[fx] = int(np.where(side, s_at, 0).max())
+        # the smallest input on this side with the largest s
+        x = int(np.argmax(side & (s_at == s_max[fx])))
+        check = sensitivity_at(f, x, deadline)
+        if (check.f_value, check.s_at_x) != (fx, s_max[fx]):
+            raise EvaluatorMismatch(
+                f"batch table gives f={fx}, s={s_max[fx]} at input {x};"
+                f" scalar value gives f={check.f_value}, s={check.s_at_x}"
+            )
     return GlobalSensitivity(
-        value=check.s_at_x,
-        argmax=argmax,
-        s0=int(zeros.max()) if zeros.size else 0,
-        s1=int(ones.max()) if ones.size else 0,
+        value=max(s_max),
+        argmax=int(np.argmax(s_at)),  # first occurrence = smallest input
+        s0=s_max[0],
+        s1=s_max[1],
     )
 
 
@@ -377,11 +426,9 @@ def certify_blocks(f, x, blocks) -> BlockCertificate:
 def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     """All h-vertex sets one edge-flip away from being a desired isolated clique.
 
-    `spec` is an IsolatedCliqueProperty (or an IsolatedTriangleProperty,
-    treated as its k=2, i=1, h=3 equivalent); f(G) must be 0.
+    `spec` is a graph property with isolation parameters i and h, such as an
+    IsolatedCliqueProperty or an IsolatedTriangleProperty; f(G) must be 0.
     """
-    if isinstance(spec, IsolatedTriangleProperty):
-        spec = IsolatedCliqueProperty(spec.v, 2, 1, 3)
     v, k, i, h = spec.v, spec.k, spec.i, spec.h
     bits = as_bits(G, spec.n)
     if spec.value(bits):

@@ -74,6 +74,12 @@ def naive_isolated_clique_value(v, k, i, h, bits):
     return 0
 
 
+def flip_all_oracle(f, x):
+    """(f(x), sensitive bits of x) by one full evaluation of every flip."""
+    fx = f.value(x)
+    return fx, tuple(i for i in range(f.n) if f.value(x ^ (1 << i)) != fx)
+
+
 def bs_brute(f, x):
     """Exact bs(f, x) by dynamic programming over all 2^n block subsets.
 

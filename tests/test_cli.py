@@ -1,6 +1,9 @@
 """Command-line contract: outputs, file handling, exit codes."""
 
 import json
+import pathlib
+
+import pytest
 
 from hypersens.cli import main
 from hypersens.hypergraphs import Hypergraph
@@ -239,3 +242,17 @@ def test_out_writes_json_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["sets"] == [[1, 2], [3, 4]]
+
+
+_GOLDEN_SENS = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "sens_stdout.json").read_text()
+)
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN_SENS))
+def test_sens_stdout_is_golden(capsys, argv):
+    """`sens` stdout at 1-inputs, pinned byte for byte; captured before the
+    flip loop was restricted to the witness term's care bits."""
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == _GOLDEN_SENS[argv]

@@ -20,6 +20,7 @@ from hypersens.hypergraphs import (
     is_clique,
     is_isolated,
     rank_subset,
+    subset_table,
     unrank_subset,
 )
 from hypersens.rng import SplitMix64
@@ -37,6 +38,14 @@ def test_rank_bijection_exhaustive(v, k):
     assert sorted(ranks) == list(range(math.comb(v, k)))
     for r in range(math.comb(v, k)):
         assert rank_subset(unrank_subset(r, v, k), k) == r
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_subset_table_is_colex_order(v):
+    for k in range(1, v + 1):
+        subs, ranks = subset_table(v, k)
+        assert subs == tuple(unrank_subset(r, v, k) for r in range(math.comb(v, k)))
+        assert all(ranks[s] == r for r, s in enumerate(subs))
 
 
 @given(st.sets(st.integers(min_value=0, max_value=40), min_size=3, max_size=3))

@@ -304,6 +304,69 @@ class TestBatchEvaluator:
         assert len(f.patterns()) == math.comb(5, 3)
 
 
+class TestWitnessTerm:
+    """witness_term against terms built independently of it."""
+
+    @pytest.mark.parametrize(
+        "prop",
+        [RubinsteinProperty(4), CyclicRubinsteinProperty(4)],
+        ids=_spec_id,
+    )
+    def test_block_term_is_a_pattern(self, prop):
+        terms = set(prop.patterns())
+        rng = SplitMix64(71)
+        ones = 0
+        for _ in range(2000):
+            x = rng.bits(prop.n) & rng.bits(prop.n)
+            term = prop.witness_term(x)
+            if not prop.value(x):
+                assert term is None
+                continue
+            ones += 1
+            care, want = term
+            assert term in terms and x & care == want
+            assert care.bit_count() == prop.witness_term_size()
+        assert ones
+
+    @pytest.mark.parametrize(
+        "prop",
+        [
+            IsolatedVertexProperty(6),
+            IsolatedTriangleProperty(6),
+            IsolatedCliqueProperty(6, 3, 1, 4),
+            IsolatedCliqueProperty(7, 3, 2, 4),
+            IsolatedCliqueProperty(7, 3, 1, 5),
+            IsolatedCliqueProperty(6, 2, 2, 3, allow_i_equal_k=True),
+        ],
+        ids=_spec_id,
+    )
+    def test_graph_term_of_the_witness_set(self, prop):
+        # care: every edge meeting the witness S in at least i vertices;
+        # want: the edges inside S
+        edges = list(combinations(range(prop.v), prop.k))
+        rank = {e: Hypergraph.from_edges(prop.v, prop.k, [e]).bits for e in edges}
+        planted = build_s1_witness(prop.v, prop.k, prop.i, prop.h)
+        rng = SplitMix64(73)
+        ones = 0
+        for j in range(200):
+            x = planted.relabel(rng.permutation(prop.v)).bits
+            x ^= rng.bits(prop.n) & rng.bits(prop.n) & rng.bits(prop.n)
+            res = prop.explain(x)
+            if not res.value:
+                assert prop.witness_term(x) is None
+                continue
+            ones += 1
+            S = set(res.witness)
+            care = sum(rank[e] for e in edges if len(S.intersection(e)) >= prop.i)
+            want = sum(rank[e] for e in edges if S.issuperset(e))
+            assert prop.witness_term(x) == (care, want)
+            assert care.bit_count() == prop.witness_term_size()
+        assert ones
+
+    def test_no_term_at_zero(self):
+        assert IsolatedTriangleProperty(5).witness_term(0) is None
+
+
 def test_property_json_round_trip():
     props = [
         RubinsteinProperty(4),

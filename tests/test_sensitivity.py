@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     BitsProperty,
     bs_brute,
+    flip_all_oracle,
     minimal_blocks_from_table,
     or_property,
     table_property,
@@ -26,6 +27,7 @@ from hypersens.properties import (
     IsolatedTriangleProperty,
     IsolatedVertexProperty,
     RubinsteinProperty,
+    rotate_left,
 )
 from hypersens.rng import SplitMix64
 from hypersens.sensitivity import (
@@ -36,7 +38,11 @@ from hypersens.sensitivity import (
     sensitivity_at,
     sensitivity_global,
 )
-from hypersens.witnesses import build_isolated_vertex_witness, build_s0_witness
+from hypersens.witnesses import (
+    build_isolated_vertex_witness,
+    build_s0_witness,
+    build_s1_witness,
+)
 
 
 class TestSensitivityAt:
@@ -71,6 +77,140 @@ class TestSensitivityAt:
                 assert flips == (i in report.sensitive_bits)
 
 
+def _planted_graph_inputs(f, seed, count=12):
+    """Relabelled planted witnesses with sparse noise, so that both values
+    of f occur: one or two isolated h-sets (an isolated vertex also beside a
+    complete graph), then in turn no noise, one flip of an edge inside the
+    planted set, one or two random edge flips, or those and one flip of an
+    edge at a planted vertex."""
+    rng = SplitMix64(seed)
+    v, k, h = f.v, f.k, f.h
+    out = []
+    for trial in range(count):
+        sigma = rng.permutation(v)
+        planted = list(range(h))
+        if h == 1 and trial % 3 == 1:
+            G = build_isolated_vertex_witness(v)
+            planted = [v - 1]
+        else:
+            G = build_s1_witness(v, k, f.i, h)
+            if trial % 3 == 2 and 2 * h <= v:
+                shift = [(u + h) % v for u in range(v)]
+                G = Hypergraph(v, k, G.bits | G.relabel(shift).bits)
+        bits = G.relabel(sigma).bits
+        if trial % 4 >= 2:
+            for _ in range(1 + rng.below(2)):
+                bits ^= 1 << rng.below(f.n)
+        if trial % 2:
+            u = planted[rng.below(len(planted))]
+            # an edge inside the planted set on every fourth input
+            pool = planted if trial % 4 == 1 and h >= k else range(v)
+            others = [w for w in pool if w != u]
+            edge = {u, *(others.pop(rng.below(len(others))) for _ in range(k - 1))}
+            bits ^= 1 << rank_subset(sorted(sigma[w] for w in edge), k)
+        out.append(bits)
+    return out
+
+
+def _planted_block_inputs(f, seed, count=40):
+    """Random inputs with one block (before a random rotation, for the cyclic
+    closure) overwritten by two adjacent ones, and some left as drawn."""
+    rng = SplitMix64(seed)
+    k, n = f.k, f.n
+    out = []
+    for trial in range(count):
+        x = rng.bits(n) & rng.bits(n)
+        if trial % 4:
+            b, j = rng.below(k), rng.below(k - 1)
+            x = x & ~(((1 << k) - 1) << b * k) | (0b11 << j) << b * k
+            x = rotate_left(x, rng.below(n), n)
+        out.append(x)
+    return out
+
+
+_ORACLE_CASES = [
+    *(IsolatedVertexProperty(v) for v in (4, 7, 12)),
+    *(IsolatedTriangleProperty(v) for v in (5, 8, 12)),
+    *(IsolatedCliqueProperty(v, 3, 1, 4) for v in (6, 9, 12)),
+    *(IsolatedCliqueProperty(v, 3, 2, 4) for v in (6, 9, 12)),
+    *(IsolatedCliqueProperty(v, 3, 1, 5) for v in (7, 12)),
+    *(IsolatedCliqueProperty(v, 2, 2, 3, allow_i_equal_k=True) for v in (5, 12)),
+]
+
+
+@pytest.mark.parametrize(
+    "f", _ORACLE_CASES, ids=lambda f: "-".join(map(str, f.spec_json().values()))
+)
+def test_witness_guided_flips_match_oracle_graphs(f):
+    seen = set()
+    for x in _planted_graph_inputs(f, 61 + f.n):
+        report = sensitivity_at(f, x)
+        assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x), x
+        seen.add(report.f_value)
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize("f", [RubinsteinProperty(4), CyclicRubinsteinProperty(4)],
+                         ids=["rubinstein", "cyclic-rubinstein"])
+def test_witness_guided_flips_match_oracle_blocks(f):
+    seen = set()
+    for x in _planted_block_inputs(f, 67):
+        report = sensitivity_at(f, x)
+        assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x), x
+        seen.add(report.f_value)
+    assert seen == {0, 1}
+
+
+class _CountingTriangle(IsolatedTriangleProperty):
+    def value(self, x):
+        self.calls += 1
+        return super().value(x)
+
+
+def test_witness_guided_flips_evaluate_care_bits_only():
+    v = 12
+    f = _CountingTriangle(v)
+    f.calls = 0
+    report = sensitivity_at(f, build_s1_witness(v, 2, 1, 3))
+    # f(x), then the 3 edges inside the triangle and the 3(v-3) at it
+    assert report.s_at_x == 3 * v - 6 and f.calls == 1 + 3 * v - 6
+    f.calls = 0
+    sensitivity_at(f, 0)
+    assert f.calls == 1 + f.n  # f = 0 keeps the full loop
+
+
+class _DropsCareBit(IsolatedTriangleProperty):
+    def witness_term(self, x):
+        care, want = super().witness_term(x)
+        return care & (care - 1), want
+
+
+class _WrongWant(IsolatedTriangleProperty):
+    def witness_term(self, x):
+        care, want = super().witness_term(x)
+        return care, want & (want - 1)
+
+
+class _WrongBlockWant(RubinsteinProperty):
+    def witness_term(self, x):
+        care, want = super().witness_term(x)
+        return care, want ^ care
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (_DropsCareBit(8), build_s1_witness(8, 2, 1, 3)),
+        (_WrongWant(8), build_s1_witness(8, 2, 1, 3)),
+        (_WrongBlockWant(4), 0b0110 << 8),
+    ],
+    ids=["care-bit-dropped", "want-missing-an-edge", "want-complemented"],
+)
+def test_wrong_witness_terms_are_caught(f, x):
+    with pytest.raises(EvaluatorMismatch):
+        sensitivity_at(f, x)
+
+
 class TestSensitivityGlobal:
     def test_rubinstein_k4(self):
         assert sensitivity_global(RubinsteinProperty(4)).value == 8
@@ -101,17 +241,24 @@ class TestSensitivityGlobal:
             sensitivity_global(BitsProperty(30, lambda x: 0))
 
     def test_wrong_patterns_are_caught(self):
-        class ForgetsLastVertex(IsolatedVertexProperty):
-            """An off-by-one pattern list: no term for vertex v-1."""
-
-            def patterns(self):
-                return super().patterns()[:-1]
-
-        # the batch table puts s = 3 at input 1, where scalar value gives 1;
-        # the re-check covers the argmax only, so the property tests' batch
-        # oracle remains what guards patterns() everywhere else
-        with pytest.raises(EvaluatorMismatch):
-            sensitivity_global(ForgetsLastVertex(4))
+        cases = [
+            # no term for vertex v-1
+            (IsolatedVertexProperty(4), IsolatedVertexProperty(4).patterns()[:-1]),
+            # the last block's three terms missing
+            (RubinsteinProperty(4), RubinsteinProperty(4).patterns()[:-3]),
+            # only the unrotated terms of the cyclic closure
+            (CyclicRubinsteinProperty(4), RubinsteinProperty(4).patterns()),
+            # a spurious 1 at the all-zero input, which no sample hits; it
+            # becomes the argmax of s1 with s = 16
+            (
+                RubinsteinProperty(4),
+                RubinsteinProperty(4).patterns() + (((1 << 16) - 1, 0),),
+            ),
+        ]
+        for f, wrong in cases:
+            f.patterns = lambda wrong=wrong: wrong
+            with pytest.raises(EvaluatorMismatch):
+                sensitivity_global(f)
 
 
 class TestMinimalBlocks:
