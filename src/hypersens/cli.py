@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -15,13 +14,13 @@ from .families import generate_family, verify_family
 from .gf import prime_power, make_field
 from .hypergraphs import Hypergraph
 from .properties import (
-    CyclicRubinsteinProperty,
-    IsolatedCliqueProperty,
+    GRAPH_VARIANTS,
+    VARIANTS,
     IsolatedTriangleProperty,
     IsolatedVertexProperty,
     RubinsteinProperty,
     RubinsteinWitness,
-    bits_to_string,
+    as_bits,
     property_from_json,
 )
 from .scaling import rows_to_csv, run_scan
@@ -42,96 +41,58 @@ from .witnesses import (
     witness_to_json,
 )
 
-PROPERTY_CHOICES = (
-    "rubinstein",
-    "cyclic-rubinstein",
-    "isolated-vertex",
-    "isolated-triangle",
-    "isolated-clique",
-)
+
+def _read_json(text):
+    """JSON from text, or from the file named after a leading @."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(text)
+    except OSError as exc:
+        raise BadParameter(f"cannot read {text[1:]}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BadParameter(f"invalid JSON in {text[:40]!r}: {exc}") from exc
 
 
 def _build_property(args):
     if getattr(args, "spec", None):
-        text = args.spec
-        if text.startswith("@"):
-            with open(text[1:], encoding="utf-8") as fh:
-                text = fh.read()
-        return property_from_json(json.loads(text))
+        return property_from_json(_read_json(args.spec))
     if args.property is None:
         raise BadParameter("give --property or --spec")
-    name = args.property
-    if name in ("rubinstein", "cyclic-rubinstein"):
-        if args.k is None:
-            raise BadParameter(f"--property {name} needs --k")
-        cls = RubinsteinProperty if name == "rubinstein" else CyclicRubinsteinProperty
-        return cls(args.k)
-    if args.v is None:
-        raise BadParameter(f"--property {name} needs --v")
-    if name == "isolated-vertex":
-        return IsolatedVertexProperty(args.v)
-    if name == "isolated-triangle":
-        return IsolatedTriangleProperty(args.v)
-    if args.k is None or args.i is None:
-        raise BadParameter("--property isolated-clique needs --k and --i")
-    if args.h is not None:
-        return IsolatedCliqueProperty(
-            args.v, args.k, args.i, args.h, args.allow_i_equal_k
-        )
-    if args.t is not None:
-        return IsolatedCliqueProperty.from_t(
-            args.v, args.k, args.i, args.t, args.allow_i_equal_k
-        )
-    raise BadParameter("--property isolated-clique needs --h or --t")
-
-
-def _canonical_witness_bits(prop):
-    if isinstance(prop, (RubinsteinProperty, CyclicRubinsteinProperty)):
-        # one 1 at in-block position 1 of every block: 2k sensitive bits
-        return sum(1 << (b * prop.k + 1) for b in range(prop.k))
-    if isinstance(prop, IsolatedVertexProperty):
-        return build_isolated_vertex_witness(prop.v).bits
-    if isinstance(prop, IsolatedTriangleProperty):
-        return build_s1_witness(prop.v, 2, 1, 3).bits
-    return build_s1_witness(prop.v, prop.k, prop.i, prop.h).bits
+    # --k fills both the block count of the block functions and the arity
+    # of the graph properties; each spec reads only its own keys
+    return property_from_json(
+        {
+            "variant": args.property,
+            "rubinstein_k": args.k,
+            "v": args.v,
+            "k": args.k,
+            "i": args.i,
+            "h": args.h,
+            "t": args.t,
+            "allow_i_equal_k": args.allow_i_equal_k,
+        }
+    )
 
 
 def _parse_input(prop, text):
     if text == "zeros":
         return 0
     if text == "witness":
-        return _canonical_witness_bits(prop)
-    if text.startswith("@"):
-        with open(text[1:], encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if isinstance(obj, str):
-            return _as_bitstring(prop, obj)
-        if "bits" in obj:
-            return _as_bitstring(prop, obj["bits"])
-        return _as_graph_bits(prop, Hypergraph.from_json(obj))
-    return _as_bitstring(prop, text)
-
-
-def _as_bitstring(prop, s):
-    if len(s) != prop.n or set(s) - {"0", "1"}:
-        raise BadParameter(f"--input must be a {prop.n}-character 0/1 string")
-    return sum(1 << i for i, c in enumerate(s) if c == "1")
-
-
-def _as_graph_bits(prop, G):
-    if not hasattr(prop, "v"):
-        raise BadParameter("a hypergraph input needs a graph property")
-    if (G.v, G.k) != (prop.v, prop.k):
-        raise BadParameter(
-            f"input is on (v={G.v}, k={G.k}), property on (v={prop.v}, k={prop.k})"
-        )
-    return G.bits
-
-
-def _input_json(prop, bits):
-    if hasattr(prop, "v"):
-        return Hypergraph(prop.v, prop.k, bits).to_json()
-    return bits_to_string(bits, prop.n)
+        return prop.witness()
+    if not text.startswith("@"):
+        return as_bits(text, prop.n)
+    obj = _read_json(text)
+    if isinstance(obj, dict) and "bits" in obj:
+        obj = obj["bits"]
+    if isinstance(obj, str):
+        return as_bits(obj, prop.n)
+    if isinstance(obj, dict):
+        return prop.graph_bits(Hypergraph.from_json(obj))
+    raise BadParameter(
+        "an --input file holds a 0/1 string, {\"bits\": ...} or a hypergraph object"
+    )
 
 
 def _witness_json(witness):
@@ -140,14 +101,6 @@ def _witness_json(witness):
     if isinstance(witness, RubinsteinWitness):
         return {"block": witness.block, "shift": witness.shift}
     return [u + 1 for u in witness]
-
-
-def _default_block_size(prop):
-    if isinstance(prop, (RubinsteinProperty, CyclicRubinsteinProperty)):
-        return 2
-    if isinstance(prop, IsolatedVertexProperty):
-        return prop.v - 1
-    return math.comb(prop.k + 1, prop.k)
 
 
 def _emit(args, text):
@@ -174,7 +127,7 @@ def cmd_sens(args):
     prop = _build_property(args)
     bits = _parse_input(prop, args.input)
     report = sensitivity_at(prop, bits)
-    _emit_json(args, report.to_json(_input_json(prop, bits)))
+    _emit_json(args, report.to_json(prop.input_json(bits)))
     return 0
 
 
@@ -182,26 +135,23 @@ def cmd_bsens(args):
     prop = _build_property(args)
     bits = _parse_input(prop, args.input)
     if args.mode == "exact":
-        cap = args.max_block_size or _default_block_size(prop)
+        cap = prop.block_cap if args.max_block_size is None else args.max_block_size
         res = block_sensitivity_exact(prop, bits, cap)
         out = {
             "bs": res.value,
             "capped": res.capped,
-            "certificate": res.certificate.to_json(_input_json(prop, bits)),
+            "certificate": res.certificate.to_json(prop.input_json(bits)),
         }
         _emit_json(args, out)
         return 0
     # certificate-only lower bound from the canonical packing
-    if isinstance(prop, IsolatedTriangleProperty):
-        packing = triangle_packing(prop.v)
-    elif isinstance(prop, IsolatedCliqueProperty) and prop.h == prop.k + 1:
-        packing = clique_packing(prop.v, prop.k)
-    else:
+    packing = prop.packing()
+    if packing is None:
         raise BadParameter(f"--mode lower is not available for {prop.name!r}")
     cert = certify_blocks(prop, bits, packing_edge_blocks(packing))
     _emit_json(
         args,
-        {"bs_lower": cert.count, "certificate": cert.to_json(_input_json(prop, bits))},
+        {"bs_lower": cert.count, "certificate": cert.to_json(prop.input_json(bits))},
     )
     return 0
 
@@ -329,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-ms", type=int, default=60_000)
 
     prop_flags = argparse.ArgumentParser(add_help=False)
-    prop_flags.add_argument("--property", choices=PROPERTY_CHOICES)
+    prop_flags.add_argument("--property", choices=VARIANTS)
     prop_flags.add_argument("--spec", help="property as JSON (or @file)")
     prop_flags.add_argument("--v", type=int)
     prop_flags.add_argument("--k", type=int)
@@ -387,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("scan", parents=[common])
-    p.add_argument("--property", required=True, choices=PROPERTY_CHOICES[2:])
+    p.add_argument("--property", required=True, choices=GRAPH_VARIANTS)
     p.add_argument("--v-start", type=int, required=True)
     p.add_argument("--v-end", type=int, required=True)
     p.add_argument("--v-step", type=int, default=1)

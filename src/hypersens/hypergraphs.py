@@ -16,6 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import (
+    BadParameter,
     EdgeOutOfRange,
     IOutOfRange,
     TooFewVertices,
@@ -190,9 +191,18 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Hypergraph":
+        for key in ("v", "k"):
+            if not isinstance(obj.get(key), int):
+                raise BadParameter(f"hypergraph JSON needs an integer {key!r}")
         v, k = obj["v"], obj["k"]
         if "hex" in obj:
-            return cls(v, k, int(obj["hex"], 16))
+            try:
+                bits = int(obj["hex"], 16)
+            except (TypeError, ValueError) as exc:
+                raise BadParameter(f"bad hypergraph 'hex' {obj['hex']!r}") from exc
+            return cls(v, k, bits)
+        if "edges" not in obj:
+            raise BadParameter("hypergraph JSON needs 'edges' or 'hex'")
         return cls.from_edges(v, k, [[u - 1 for u in e] for e in obj["edges"]])
 
 

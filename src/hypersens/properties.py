@@ -1,8 +1,10 @@
 """The Boolean functions under study, behind one uniform evaluator interface.
 
-Every property exposes
+Everything specific to one property lives on its class.  Every property
+exposes
 
     n            -- input length in bits
+    name         -- its spec "variant", one of VARIANTS
     value(x)     -- the function value at the bitmask x, 0 or 1
     explain(x)   -- EvalResult with a re-verifiable witness when value is 1
     patterns()   -- (care, want) pairs with value(x) = 1 iff x & care == want
@@ -13,6 +15,17 @@ Every property exposes
                     f(y) = 1, so only a care bit of x can be sensitive
     witness_term_size()
                  -- popcount of every witness term's care, by closed form
+    witness()    -- the canonical high-sensitivity input, as bits
+    packing()    -- the edge-disjoint Packing whose blocks certify a bs
+                    lower bound at the empty input, or None
+    block_cap    -- the default largest block of the exact bs scan
+    spec_json()  -- the JSON spec property_from_json rebuilds it from
+    input_json(bits)
+                 -- an input as reports show it: a hypergraph object for
+                    graph properties, a 0/1 string for the block functions
+    graph_bits(G)
+                 -- the bits of a Hypergraph input, checked against the
+                    property's (v, k); only graph properties take one
 
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
@@ -86,17 +99,34 @@ def bits_to_string(x: int, n: int) -> str:
     return "".join("1" if x >> i & 1 else "0" for i in range(n))
 
 
+# the spec "variant" of every property; the graph properties, which take a
+# vertex count v, come last
+VARIANTS = (
+    "rubinstein",
+    "cyclic-rubinstein",
+    "isolated-vertex",
+    "isolated-triangle",
+    "isolated-clique",
+)
+GRAPH_VARIANTS = VARIANTS[2:]
+
+
 class Property:
-    """Shared plumbing; subclasses set n/name and implement value/explain."""
+    """Shared plumbing.  Subclasses set n, name and block_cap, implement
+    _find(bits) -- the witness at a 1-input, None at a 0-input -- and
+    define value over it in their own body, because perfbench/tracing.py
+    times value per class."""
 
     n: int
     name: str
+    block_cap: int
 
     def value(self, x) -> int:
         raise NotImplementedError
 
     def explain(self, x) -> EvalResult:
-        raise NotImplementedError
+        w = self._find(as_bits(x, self.n))
+        return EvalResult(0) if w is None else EvalResult(1, w)
 
     def __call__(self, x) -> int:
         return self.value(x)
@@ -123,12 +153,30 @@ class Property:
         """Closed-form popcount of the care of every witness_term."""
         return None
 
+    def witness(self) -> int:
+        """The canonical high-sensitivity input, as bits."""
+        raise NotImplementedError
+
+    def packing(self):
+        """The edge-disjoint Packing certifying bs at the empty input, or
+        None when the property has none."""
+        return None
+
     def spec_json(self) -> dict:
         raise NotImplementedError
+
+    def input_json(self, bits: int):
+        return bits_to_string(bits, self.n)
+
+    def graph_bits(self, G: Hypergraph) -> int:
+        raise BadParameter("a hypergraph input needs a graph property")
 
 
 class RubinsteinProperty(Property):
     """1 iff some length-k block holds exactly two adjacent ones, rest zero."""
+
+    name = "rubinstein"
+    block_cap = 2
 
     def __init__(self, k: int):
         if k % 2:
@@ -137,7 +185,6 @@ class RubinsteinProperty(Property):
             raise BadParameter("need k >= 2")
         self.k = k
         self.n = k * k
-        self.name = "rubinstein"
         self._block_mask = (1 << k) - 1
         self._good = frozenset((1 << j) | (1 << (j + 1)) for j in range(k - 1))
 
@@ -147,14 +194,12 @@ class RubinsteinProperty(Property):
                 return b
         return None
 
+    def _find(self, bits: int):
+        b = self._match(bits)
+        return None if b is None else RubinsteinWitness(block=b, shift=0)
+
     def value(self, x) -> int:
         return 0 if self._match(as_bits(x, self.n)) is None else 1
-
-    def explain(self, x) -> EvalResult:
-        b = self._match(as_bits(x, self.n))
-        if b is None:
-            return EvalResult(0)
-        return EvalResult(1, RubinsteinWitness(block=b, shift=0))
 
     def _make_patterns(self):
         k = self.k
@@ -164,70 +209,53 @@ class RubinsteinProperty(Property):
             for good in sorted(self._good)
         )
 
-    def _block_term(self, x, res: EvalResult) -> tuple[int, int] | None:
+    def witness_term(self, x):
         """The term of the witness block, rotated back by the witness shift."""
+        res = self.explain(x)
         if res.value == 0:
             return None
         w = res.witness
         care = rotate_left(self._block_mask << w.block * self.k, -w.shift, self.n)
         return care, as_bits(x, self.n) & care
 
-    def witness_term(self, x):
-        return self._block_term(x, self.explain(x))
-
     def witness_term_size(self) -> int:
         return self.k
 
+    def witness(self) -> int:
+        # one 1 at in-block position 1 of every block: 2k sensitive bits
+        return sum(1 << (b * self.k + 1) for b in range(self.k))
+
     def spec_json(self) -> dict:
-        return {"variant": "rubinstein", "rubinstein_k": self.k}
+        return {"variant": self.name, "rubinstein_k": self.k}
 
 
-class CyclicRubinsteinProperty(Property):
+class CyclicRubinsteinProperty(RubinsteinProperty):
     """Cyclic closure: 1 iff some left-rotation satisfies the block pattern."""
 
-    def __init__(self, k: int):
-        self._base = RubinsteinProperty(k)
-        self.k = k
-        self.n = k * k
-        self.name = "cyclic-rubinstein"
+    name = "cyclic-rubinstein"
+
+    def _find(self, bits: int):
+        for l in range(self.n):
+            b = self._match(rotate_left(bits, l, self.n))
+            if b is not None:
+                return RubinsteinWitness(block=b, shift=l)
+        return None
 
     def value(self, x) -> int:
-        bits = as_bits(x, self.n)
-        return int(
-            any(
-                self._base._match(rotate_left(bits, l, self.n)) is not None
-                for l in range(self.n)
-            )
-        )
-
-    def explain(self, x) -> EvalResult:
-        bits = as_bits(x, self.n)
-        for l in range(self.n):
-            b = self._base._match(rotate_left(bits, l, self.n))
-            if b is not None:
-                return EvalResult(1, RubinsteinWitness(block=b, shift=l))
-        return EvalResult(0)
+        return 0 if self._find(as_bits(x, self.n)) is None else 1
 
     def _make_patterns(self):
         # rotate_left(x, l) matches (care, want) iff x matches both rotated
         # right by l; rotations by a multiple of k repeat block terms
         n = self.n
+        blocks = super()._make_patterns()
         return tuple(
             dict.fromkeys(
                 (rotate_left(care, -l, n), rotate_left(want, -l, n))
                 for l in range(n)
-                for care, want in self._base.patterns()
+                for care, want in blocks
             )
         )
-
-    def witness_term(self, x):
-        return self._base._block_term(x, self.explain(x))
-
-    def witness_term_size(self) -> int:
-        return self.k
-
-    def spec_json(self) -> dict:
-        return {"variant": "cyclic-rubinstein", "rubinstein_k": self.k}
 
 
 class GraphPropertyBase(Property):
@@ -279,9 +307,24 @@ class GraphPropertyBase(Property):
             self.v, self.h, self.i, self.k
         )
 
+    def spec_json(self) -> dict:
+        return {"variant": self.name, "v": self.v, "k": self.k}
+
+    def input_json(self, bits: int):
+        return self.graph(bits).to_json()
+
+    def graph_bits(self, G: Hypergraph) -> int:
+        if (G.v, G.k) != (self.v, self.k):
+            raise BadParameter(
+                f"input is on (v={G.v}, k={G.k}), property on (v={self.v}, k={self.k})"
+            )
+        return G.bits
+
 
 class IsolatedVertexProperty(GraphPropertyBase):
     """1 iff some vertex of the graph has degree zero."""
+
+    name = "isolated-vertex"
 
     def __init__(self, v: int):
         if v < 1:
@@ -291,75 +334,21 @@ class IsolatedVertexProperty(GraphPropertyBase):
         self.i = 1
         self.h = 1
         self.n = math.comb(v, 2)
-        self.name = "isolated-vertex"
-
-    def value(self, x) -> int:
-        bits = as_bits(x, self.n)
-        touched = set()
-        for e in self._edges(bits):
-            touched.update(e)
-        return int(len(touched) < self.v)
-
-    def explain(self, x) -> EvalResult:
-        bits = as_bits(x, self.n)
-        touched = set()
-        for e in self._edges(bits):
-            touched.update(e)
-        for u in range(self.v):
-            if u not in touched:
-                return EvalResult(1, (u,))
-        return EvalResult(0)
-
-    def spec_json(self) -> dict:
-        return {"variant": "isolated-vertex", "v": self.v, "k": 2}
-
-
-class IsolatedTriangleProperty(GraphPropertyBase):
-    """1 iff the graph has a triangle with no edges leaving it.
-
-    Equivalent to IsolatedCliqueProperty(v, k=2, i=1, h=3); kept as a
-    dedicated evaluator because isolation at i=1 reduces to a degree check,
-    which the scaling sweeps lean on.
-    """
-
-    def __init__(self, v: int):
-        if v < 3:
-            raise BadParameter("need v >= 3")
-        self.v = v
-        self.k = 2
-        self.i = 1
-        self.h = 3
-        self.n = math.comb(v, 2)
-        self.name = "isolated-triangle"
+        self.block_cap = v - 1
 
     def _find(self, bits: int):
-        edges = self._edges(bits)
-        deg = Counter()
-        adj = {}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        # an isolated triangle is exactly three mutually adjacent vertices
-        # of degree 2, and its least vertex determines it
-        for a in sorted(adj):
-            if deg[a] != 2:
-                continue
-            b, c = sorted(adj[a])
-            if deg[b] == 2 and deg[c] == 2 and c in adj[b]:
-                return tuple(sorted((a, b, c)))
-        return None
+        touched = set()
+        for e in self._edges(bits):
+            touched.update(e)
+        return next(((u,) for u in range(self.v) if u not in touched), None)
 
     def value(self, x) -> int:
         return 0 if self._find(as_bits(x, self.n)) is None else 1
 
-    def explain(self, x) -> EvalResult:
-        S = self._find(as_bits(x, self.n))
-        return EvalResult(0) if S is None else EvalResult(1, S)
+    def witness(self) -> int:
+        from .witnesses import build_isolated_vertex_witness
 
-    def spec_json(self) -> dict:
-        return {"variant": "isolated-triangle", "v": self.v, "k": 2}
+        return build_isolated_vertex_witness(self.v).bits
 
 
 class IsolatedCliqueProperty(GraphPropertyBase):
@@ -369,6 +358,8 @@ class IsolatedCliqueProperty(GraphPropertyBase):
     isolation requirement vacuous for k-uniform edges) is allowed only with
     allow_i_equal_k=True.
     """
+
+    name = "isolated-clique"
 
     def __init__(self, v: int, k: int, i: int, h: int, allow_i_equal_k: bool = False):
         if k < 2 or k > v:
@@ -385,16 +376,16 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         self.i = i
         self.h = h
         self.n = math.comb(v, k)
-        self.name = "isolated-clique"
+        self.block_cap = k + 1
         self._min_deg = math.comb(h - 1, k - 1)
 
-    @classmethod
+    @staticmethod
     def from_t(
-        cls, v: int, k: int, i: int, t: float, allow_i_equal_k: bool = False
+        v: int, k: int, i: int, t: float, allow_i_equal_k: bool = False
     ) -> "IsolatedCliqueProperty":
         """Resolve a clique-size exponent t to h = max(k+1, floor(v^t))."""
         h = max(k + 1, math.floor(v**t + 1e-9))
-        return cls(v, k, i, h, allow_i_equal_k)
+        return IsolatedCliqueProperty(v, k, i, h, allow_i_equal_k)
 
     def _find(self, bits: int):
         edges = self._edges(bits)
@@ -429,18 +420,65 @@ class IsolatedCliqueProperty(GraphPropertyBase):
     def value(self, x) -> int:
         return 0 if self._find(as_bits(x, self.n)) is None else 1
 
-    def explain(self, x) -> EvalResult:
-        S = self._find(as_bits(x, self.n))
-        return EvalResult(0) if S is None else EvalResult(1, S)
+    def witness(self) -> int:
+        from .witnesses import build_s1_witness
+
+        return build_s1_witness(self.v, self.k, self.i, self.h).bits
+
+    def packing(self):
+        if self.h != self.k + 1:
+            return None
+        from .witnesses import clique_packing
+
+        return clique_packing(self.v, self.k)
 
     def spec_json(self) -> dict:
-        return {
-            "variant": "isolated-clique",
-            "v": self.v,
-            "k": self.k,
-            "i": self.i,
-            "h": self.h,
-        }
+        return {**super().spec_json(), "i": self.i, "h": self.h}
+
+
+class IsolatedTriangleProperty(IsolatedCliqueProperty):
+    """1 iff the graph has a triangle with no edges leaving it.
+
+    IsolatedCliqueProperty(v, k=2, i=1, h=3) with a dedicated _find,
+    because isolation at i=1 reduces to a degree check, which the scaling
+    sweeps lean on.
+    """
+
+    name = "isolated-triangle"
+
+    def __init__(self, v: int):
+        if v < 3:
+            raise BadParameter("need v >= 3")
+        super().__init__(v, 2, 1, 3)
+
+    def _find(self, bits: int):
+        edges = self._edges(bits)
+        deg = Counter()
+        adj = {}
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        # an isolated triangle is exactly three mutually adjacent vertices
+        # of degree 2, and its least vertex determines it
+        for a in sorted(adj):
+            if deg[a] != 2:
+                continue
+            b, c = sorted(adj[a])
+            if deg[b] == 2 and deg[c] == 2 and c in adj[b]:
+                return tuple(sorted((a, b, c)))
+        return None
+
+    def value(self, x) -> int:
+        return 0 if self._find(as_bits(x, self.n)) is None else 1
+
+    def packing(self):
+        from .witnesses import triangle_packing
+
+        return triangle_packing(self.v)
+
+    spec_json = GraphPropertyBase.spec_json
 
 
 def eval_rubinstein(k: int, x) -> EvalResult:
@@ -465,20 +503,35 @@ def eval_isolated_clique(spec: IsolatedCliqueProperty, G: Hypergraph) -> EvalRes
     return spec.explain(G)
 
 
-def property_from_json(obj: dict) -> Property:
-    variant = obj["variant"]
+def property_from_json(obj) -> Property:
+    """The property of a JSON spec (see each class's spec_json).  A null
+    value counts as absent; a malformed spec is a BadParameter that names
+    the problem."""
+    if not isinstance(obj, dict):
+        raise BadParameter("a property spec must be a JSON object")
+    variant = obj.get("variant")
+    if variant not in VARIANTS:
+        raise BadParameter(f"unknown property variant {variant!r}")
+
+    def need(key, number=int):
+        val = obj.get(key)
+        if isinstance(val, bool) or not isinstance(val, number):
+            what = "an integer" if number is int else "a number"
+            raise BadParameter(f"{variant} spec needs {what} {key!r}")
+        return val
+
     if variant == "rubinstein":
-        return RubinsteinProperty(obj["rubinstein_k"])
+        return RubinsteinProperty(need("rubinstein_k"))
     if variant == "cyclic-rubinstein":
-        return CyclicRubinsteinProperty(obj["rubinstein_k"])
+        return CyclicRubinsteinProperty(need("rubinstein_k"))
     if variant == "isolated-vertex":
-        return IsolatedVertexProperty(obj["v"])
+        return IsolatedVertexProperty(need("v"))
     if variant == "isolated-triangle":
-        return IsolatedTriangleProperty(obj["v"])
-    if variant == "isolated-clique":
-        v, k, i = obj["v"], obj["k"], obj["i"]
-        allow = bool(obj.get("allow_i_equal_k", False))
-        if "h" in obj:
-            return IsolatedCliqueProperty(v, k, i, obj["h"], allow)
-        return IsolatedCliqueProperty.from_t(v, k, i, obj["t"], allow)
-    raise BadParameter(f"unknown property variant {variant!r}")
+        return IsolatedTriangleProperty(need("v"))
+    v, k, i = need("v"), need("k"), need("i")
+    allow = bool(obj.get("allow_i_equal_k", False))
+    if obj.get("h") is not None:
+        return IsolatedCliqueProperty(v, k, i, need("h"), allow)
+    if obj.get("t") is not None:
+        return IsolatedCliqueProperty.from_t(v, k, i, need("t", (int, float)), allow)
+    raise BadParameter("isolated-clique spec needs 'h' or 't'")

@@ -30,12 +30,7 @@ from .errors import (
     NonPositiveY,
     TooFewRows,
 )
-from .hypergraphs import Hypergraph
-from .properties import (
-    IsolatedCliqueProperty,
-    IsolatedTriangleProperty,
-    IsolatedVertexProperty,
-)
+from .properties import property_from_json
 from .sensitivity import (
     GLOBAL_BUDGET_BITS,
     block_sensitivity_exact,
@@ -43,13 +38,7 @@ from .sensitivity import (
     sensitivity_at,
     sensitivity_global,
 )
-from .witnesses import (
-    build_isolated_vertex_witness,
-    build_s1_witness,
-    clique_packing,
-    packing_edge_blocks,
-    triangle_packing,
-)
+from .witnesses import packing_edge_blocks
 
 COLUMNS = ("s_lower", "s_exact", "bs_lower", "bs_exact")
 CSV_FIELDS = ("v", "n", "s_lower", "s_exact", "bs_lower", "bs_exact", "ms_s", "ms_bs")
@@ -132,46 +121,6 @@ class ScanResult:
     warnings: list[str]
 
 
-class _ScanTarget:
-    """Per-property hooks: the evaluator, the 1-side witness, the packing."""
-
-    def __init__(self, name, prop_of, witness_of, packing_of):
-        self.name = name
-        self.prop_of = prop_of
-        self.witness_of = witness_of
-        self.packing_of = packing_of
-
-
-def _target(property_name: str, k, i, h) -> _ScanTarget:
-    if property_name == "isolated-triangle":
-        return _ScanTarget(
-            property_name,
-            IsolatedTriangleProperty,
-            lambda v: build_s1_witness(v, 2, 1, 3),
-            triangle_packing,
-        )
-    if property_name == "isolated-vertex":
-        return _ScanTarget(
-            property_name,
-            IsolatedVertexProperty,
-            build_isolated_vertex_witness,
-            None,
-        )
-    if property_name == "isolated-clique":
-        if k is None or i is None or h is None:
-            raise BadParameter("isolated-clique scans need k, i and h")
-        packing = None
-        if h == k + 1:
-            packing = lambda v: clique_packing(v, k)
-        return _ScanTarget(
-            property_name,
-            lambda v: IsolatedCliqueProperty(v, k, i, h),
-            lambda v: build_s1_witness(v, k, i, h),
-            packing,
-        )
-    raise BadParameter(f"unknown scan property {property_name!r}")
-
-
 def run_scan(
     property_name: str,
     v_values,
@@ -191,34 +140,30 @@ def run_scan(
     for c in columns:
         if c not in COLUMNS:
             raise BadParameter(f"unknown column {c!r}")
-    target = _target(property_name, k, i, h)
-    if "bs_lower" in columns and target.packing_of is None:
-        raise BadParameter(
-            f"bs_lower is not available for {property_name!r}"
-            + (" with h != k+1" if property_name == "isolated-clique" else "")
-        )
+    spec = {"variant": property_name, "k": k, "i": i, "h": h}
+    props = [property_from_json({**spec, "v": v}) for v in v_values]
+    if "bs_lower" in columns and props[0].packing() is None:
+        raise BadParameter(f"bs_lower is not available for {props[0].name!r}")
     # exhaustive columns are bounded up front, naming the first offender
     for c in ("s_exact", "bs_exact"):
         if c in columns:
-            for v in v_values:
-                n = target.prop_of(v).n
-                if n > GLOBAL_BUDGET_BITS:
+            for prop in props:
+                if prop.n > GLOBAL_BUDGET_BITS:
                     raise BudgetExceeded(
-                        f"column {c} at v={v} needs 2^{n} inputs"
+                        f"column {c} at v={prop.v} needs 2^{prop.n} inputs"
                         f" (> 2^{GLOBAL_BUDGET_BITS})"
                     )
 
     warnings: list[str] = []
     rows = []
-    for v in v_values:
-        prop = target.prop_of(v)
+    for v, prop in zip(v_values, props):
         row = ScalingRow(v=v, n=prop.n)
         ms_s = ms_bs = 0
         for col in columns:
             start = time.monotonic()
             deadline = start + budget_ms / 1000.0
             try:
-                value = _measure(col, target, prop, v, deadline)
+                value = _measure(col, prop, deadline)
             except CellBudgetExceeded:
                 value = None
             elapsed_ms = int(round((time.monotonic() - start) * 1000))
@@ -250,17 +195,14 @@ def run_scan(
     return ScanResult(rows, fits, warnings)
 
 
-def _measure(col, target, prop, v, deadline):
+def _measure(col, prop, deadline):
     if col == "s_lower":
-        witness = target.witness_of(v)
-        return sensitivity_at(prop, witness, deadline=deadline).s_at_x
+        return sensitivity_at(prop, prop.witness(), deadline=deadline).s_at_x
     if col == "s_exact":
         return sensitivity_global(prop, deadline=deadline).value
     if col == "bs_lower":
-        packing = target.packing_of(v)
-        blocks = packing_edge_blocks(packing)
-        cert = certify_blocks(prop, Hypergraph.empty(prop.v, prop.k), blocks)
-        return cert.count
+        blocks = packing_edge_blocks(prop.packing())
+        return certify_blocks(prop, 0, blocks).count
     if col == "bs_exact":
         best = 0
         for x in range(1 << prop.n):

@@ -427,7 +427,8 @@ def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     """All h-vertex sets one edge-flip away from being a desired isolated clique.
 
     `spec` is a graph property with isolation parameters i and h, such as an
-    IsolatedCliqueProperty or an IsolatedTriangleProperty; f(G) must be 0.
+    IsolatedCliqueProperty (IsolatedTriangleProperty is its k=2, i=1, h=3
+    subclass); f(G) must be 0.
     """
     v, k, i, h = spec.v, spec.k, spec.i, spec.h
     bits = as_bits(G, spec.n)

@@ -244,15 +244,75 @@ def test_out_writes_json_file(capsys, tmp_path):
     assert json.loads(path.read_text())["sets"] == [[1, 2], [3, 4]]
 
 
-_GOLDEN_SENS = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "sens_stdout.json").read_text()
+_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "cli_stdout.json").read_text()
 )
 
 
-@pytest.mark.parametrize("argv", sorted(_GOLDEN_SENS))
+@pytest.mark.parametrize("argv", sorted(_GOLDEN))
 def test_sens_stdout_is_golden(capsys, argv):
-    """`sens` stdout at 1-inputs, pinned byte for byte; captured before the
-    flip loop was restricted to the witness term's care bits."""
+    """stdout and exit code of `eval`, `sens`, `bsens` and `scan` over every
+    property variant, pinned byte for byte."""
     code, out, _ = run(capsys, *argv.split())
-    assert code == 0
-    assert out == _GOLDEN_SENS[argv]
+    assert {"exit": code, "stdout": out} == _GOLDEN[argv]
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return f"@{path}"
+
+
+@pytest.mark.parametrize(
+    "flag, make, problem",
+    [
+        ("--input", lambda d: f"@{d / 'missing.json'}", "cannot read"),
+        ("--input", lambda d: _write(d, "bad.json", "{"), "invalid JSON"),
+        ("--input", lambda d: _write(d, "g.json", '{"v": 5, "edges": []}'), "'k'"),
+        ("--input", lambda d: _write(d, "h.json", '{"v": 5, "k": 2, "hex": "zz"}'),
+         "'hex'"),
+        ("--input", lambda d: _write(d, "n.json", "[1, 2]"), "--input file"),
+        ("--spec", lambda d: "{", "invalid JSON"),
+        ("--spec", lambda d: "[1, 2]", "JSON object"),
+        ("--spec", lambda d: '{"variant": "rubinstein"}', "'rubinstein_k'"),
+        ("--spec", lambda d: '{"variant": "rubinstein", "rubinstein_k": "4"}',
+         "'rubinstein_k'"),
+        ("--spec", lambda d: '{"variant": "isolated-clique", "v": 8, "k": 3, "i": 1}',
+         "'h' or 't'"),
+        ("--spec", lambda d: '{"variant": "isolated-cube", "v": 8}', "isolated-cube"),
+        ("--spec", lambda d: f"@{d / 'missing.json'}", "cannot read"),
+    ],
+    ids=[
+        "input-missing-file",
+        "input-invalid-json",
+        "input-hypergraph-without-k",
+        "input-hypergraph-bad-hex",
+        "input-json-list",
+        "spec-invalid-json",
+        "spec-json-list",
+        "spec-rubinstein-without-k",
+        "spec-string-k",
+        "spec-clique-without-h-or-t",
+        "spec-unknown-variant",
+        "spec-missing-file",
+    ],
+)
+def test_malformed_json_is_domain_error(capsys, tmp_path, flag, make, problem):
+    argv = ["eval", flag, make(tmp_path)]
+    if flag == "--input":
+        argv += ["--property", "isolated-triangle", "--v", "5"]
+    else:
+        argv += ["--input", "zeros"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and problem in err
+
+
+def test_bsens_max_block_size_zero_is_domain_error(capsys):
+    for cap in ("0", "-1"):
+        code, out, err = run(
+            capsys, "bsens", "--property", "isolated-triangle", "--v", "5",
+            "--input", "zeros", "--max-block-size", cap,
+        )
+        assert code == 1 and out == ""
+        assert "max_block_size" in err

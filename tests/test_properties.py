@@ -33,7 +33,7 @@ from hypersens.properties import (
 )
 from hypersens.rng import SplitMix64
 from hypersens.sensitivity import evaluate_batch
-from hypersens.witnesses import build_isolated_vertex_witness, build_s1_witness
+from hypersens.witnesses import build_s1_witness, clique_packing, triangle_packing
 
 
 def verify_rubinstein_witness(k, x, witness):
@@ -279,12 +279,7 @@ class TestBatchEvaluator:
     def test_seeded_inputs_at_n_20_21(self, prop):
         # uniform inputs, and planted witnesses under a random relabelling
         # and a sparse random flip mask, so that both values occur
-        if isinstance(prop, IsolatedVertexProperty):
-            planted = build_isolated_vertex_witness(prop.v)
-        elif isinstance(prop, IsolatedTriangleProperty):
-            planted = build_s1_witness(prop.v, 2, 1, 3)
-        else:
-            planted = build_s1_witness(prop.v, prop.k, prop.i, prop.h)
+        planted = prop.graph(prop.witness())
         rng = SplitMix64(43)
         inputs = []
         for j in range(10_000):
@@ -380,6 +375,44 @@ def test_property_json_round_trip():
         assert type(q) is type(p) and q.spec_json() == p.spec_json()
     from_t = property_from_json({"variant": "isolated-clique", "v": 16, "k": 2, "i": 1, "t": 0.5})
     assert from_t.h == 4
+
+
+_PROTOCOL_CASES = [
+    # one 1 at in-block position 1 of every block
+    (RubinsteinProperty(4), 0x2222, 2, None),
+    (CyclicRubinsteinProperty(4), 0x2222, 2, None),
+    # K_4 on vertices 0..3 (ranks 0..5), vertex 4 isolated
+    (IsolatedVertexProperty(5), 0b111111, 4, None),
+    # one triangle, or one h-clique, on the lowest vertices
+    (IsolatedTriangleProperty(7), 0b111, 3, triangle_packing(7)),
+    (IsolatedCliqueProperty(7, 3, 1, 4), 0b1111, 4, clique_packing(7, 3)),
+    (IsolatedCliqueProperty(7, 2, 1, 3), 0b111, 3, clique_packing(7, 2)),
+    (IsolatedCliqueProperty(7, 3, 2, 5), 0b1111111111, 4, None),
+    (IsolatedCliqueProperty(7, 2, 1, 4), 0b111111, 3, None),
+]
+
+
+@pytest.mark.parametrize(
+    "prop, witness, block_cap, packing",
+    _PROTOCOL_CASES,
+    ids=[_spec_id(case[0]) for case in _PROTOCOL_CASES],
+)
+def test_protocol_pins_witness_cap_and_packing(prop, witness, block_cap, packing):
+    assert prop.witness() == witness
+    assert prop.block_cap == block_cap
+    assert prop.packing() == packing
+    assert property_from_json(prop.spec_json()).witness() == witness
+
+
+def test_graph_bits_checks_the_input_shape():
+    G = Hypergraph.from_edges(5, 2, [(0, 1)])
+    assert IsolatedTriangleProperty(5).graph_bits(G) == 1
+    with pytest.raises(BadParameter):
+        IsolatedTriangleProperty(6).graph_bits(G)
+    with pytest.raises(BadParameter):
+        IsolatedCliqueProperty(5, 3, 1, 4).graph_bits(G)
+    with pytest.raises(BadParameter):
+        RubinsteinProperty(2).graph_bits(G)
 
 
 def test_as_bits_coercions():
