@@ -15,7 +15,6 @@ from .gf import (
     Field,
     FieldElement,
     FieldPoly,
-    eval_poly,
     make_field,
     prime_power,
     prime_power_in_range,
@@ -36,10 +35,6 @@ from .properties import (
     IsolatedVertexProperty,
     Property,
     RubinsteinProperty,
-    eval_cyclic_rubinstein,
-    eval_isolated_clique,
-    eval_isolated_vertex,
-    eval_rubinstein,
     property_from_json,
     rotate_left,
 )

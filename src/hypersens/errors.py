@@ -68,10 +68,6 @@ class OddK(DomainError):
     pass
 
 
-class SpecMismatch(DomainError):
-    pass
-
-
 class LengthMismatch(DomainError):
     pass
 

@@ -97,6 +97,19 @@ def generate_family(
     return SetFamily(q, d, ell, universe, tuple(sets), q)
 
 
+def first_overlap(sets, bound: int) -> tuple[int, int, int] | None:
+    """(a, b, |A & B|) for the first pair a < b of the sets, ordered by a
+    then b, that shares at least `bound` elements; None if no pair does.
+    The check is pairwise, O(len(sets)^2)."""
+    frozen = [frozenset(s) for s in sets]
+    for a, A in enumerate(frozen):
+        for b in range(a + 1, len(frozen)):
+            inter = len(A & frozen[b])
+            if inter >= bound:
+                return a, b, inter
+    return None
+
+
 def verify_family(fam: SetFamily) -> FamilyCheck:
     """Check member sizes, pairwise intersections < d, and the count bound."""
     for idx, s in enumerate(fam.sets):
@@ -106,15 +119,12 @@ def verify_family(fam: SetFamily) -> FamilyCheck:
             )
         if s and (s[0] < 1 or s[-1] > fam.universe):
             return FamilyCheck(False, f"set #{idx} leaves [1, {fam.universe}]")
-    frozen = [frozenset(s) for s in fam.sets]
-    for a in range(len(frozen)):
-        for b in range(a + 1, len(frozen)):
-            inter = len(frozen[a] & frozen[b])
-            if inter >= fam.d:
-                return FamilyCheck(
-                    False,
-                    f"sets #{a} and #{b} intersect in {inter} >= d = {fam.d}",
-                )
+    overlap = first_overlap(fam.sets, fam.d)
+    if overlap is not None:
+        a, b, inter = overlap
+        return FamilyCheck(
+            False, f"sets #{a} and #{b} intersect in {inter} >= d = {fam.d}"
+        )
     if len(fam.sets) > fam.max_sets:
         return FamilyCheck(
             False, f"{len(fam.sets)} sets exceeds q^(d*ell) = {fam.max_sets}"

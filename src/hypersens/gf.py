@@ -262,7 +262,3 @@ class FieldPoly:
         for c in reversed(self.coeffs):
             acc = self.field.add(self.field.mul(acc, x), c)
         return acc
-
-
-def eval_poly(f: FieldPoly, x: FieldElement) -> FieldElement:
-    return f.eval(x)

@@ -134,14 +134,6 @@ class Hypergraph:
             bits |= 1 << rank_subset(e, k)
         return cls(v, k, bits)
 
-    def edge_ids(self):
-        """Ascending ranks of present edges."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
     def edges(self):
         """Present edges as sorted vertex tuples, in colex-rank order."""
         return iter(edges_of_bits(self.v, self.k, self.bits))
@@ -201,9 +193,14 @@ class Hypergraph:
             except (TypeError, ValueError) as exc:
                 raise BadParameter(f"bad hypergraph 'hex' {obj['hex']!r}") from exc
             return cls(v, k, bits)
-        if "edges" not in obj:
-            raise BadParameter("hypergraph JSON needs 'edges' or 'hex'")
-        return cls.from_edges(v, k, [[u - 1 for u in e] for e in obj["edges"]])
+        edges = obj.get("edges")
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and all(type(u) is int for u in e) for e in edges
+        ):
+            raise BadParameter(
+                "hypergraph JSON needs 'hex' or 'edges', a list of integer lists"
+            )
+        return cls.from_edges(v, k, [[u - 1 for u in e] for e in edges])
 
 
 def is_clique(G: Hypergraph, S) -> bool:

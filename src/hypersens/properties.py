@@ -25,7 +25,8 @@ exposes
                     graph properties, a 0/1 string for the block functions
     graph_bits(G)
                  -- the bits of a Hypergraph input, checked against the
-                    property's (v, k); only graph properties take one
+                    property's (v, k); only graph properties take one, and
+                    value and explain pass a Hypergraph through it
 
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
@@ -44,7 +45,6 @@ from .errors import (
     IOutOfRange,
     LengthMismatch,
     OddK,
-    SpecMismatch,
     WrongArity,
 )
 from .hypergraphs import Hypergraph, boundary_count, edges_of_bits, rank_lookup
@@ -125,8 +125,12 @@ class Property:
         raise NotImplementedError
 
     def explain(self, x) -> EvalResult:
-        w = self._find(as_bits(x, self.n))
+        w = self._find(self._bits(x))
         return EvalResult(0) if w is None else EvalResult(1, w)
+
+    def _bits(self, x) -> int:
+        """The input as bits; a Hypergraph goes through graph_bits."""
+        return self.graph_bits(x) if isinstance(x, Hypergraph) else as_bits(x, self.n)
 
     def __call__(self, x) -> int:
         return self.value(x)
@@ -199,7 +203,7 @@ class RubinsteinProperty(Property):
         return None if b is None else RubinsteinWitness(block=b, shift=0)
 
     def value(self, x) -> int:
-        return 0 if self._match(as_bits(x, self.n)) is None else 1
+        return 0 if self._match(self._bits(x)) is None else 1
 
     def _make_patterns(self):
         k = self.k
@@ -242,7 +246,7 @@ class CyclicRubinsteinProperty(RubinsteinProperty):
         return None
 
     def value(self, x) -> int:
-        return 0 if self._find(as_bits(x, self.n)) is None else 1
+        return 0 if self._find(self._bits(x)) is None else 1
 
     def _make_patterns(self):
         # rotate_left(x, l) matches (care, want) iff x matches both rotated
@@ -260,9 +264,14 @@ class CyclicRubinsteinProperty(RubinsteinProperty):
 
 class GraphPropertyBase(Property):
     """Common plumbing for the graph/hypergraph properties, each of which is
-    1 iff some h-set S holds all C(h,k) edges inside it and no edge meeting
-    it in i..k-1 vertices (an isolated vertex is h = 1, a triangle h = 3,
-    both with i = 1)."""
+    1 iff some h-set S has no defect (an isolated vertex is h = 1, a
+    triangle h = 3, both with i = 1).
+
+    A defect of S is one of its C(h,k) inside edges that is missing, or a
+    present edge meeting S in i..k-1 vertices.  A set without defects
+    witnesses f = 1; at f = 0, a set with exactly one defect becomes a
+    witness when that one edge is flipped, which makes it a sensitive tuple.
+    """
 
     v: int
     k: int
@@ -297,6 +306,54 @@ class GraphPropertyBase(Property):
         return tuple(
             self._isolation_term(S) for S in combinations(range(self.v), self.h)
         )
+
+    def _defects(self, bits: int, edges, S, limit: int) -> list[int]:
+        """The ranks of the sorted h-set S's defects at bits, whose present
+        edges are `edges`: its missing inside edges, then the present edges
+        meeting it in i..k-1 vertices.  Stops once it has more than limit."""
+        i, k = self.i, self.k
+        rank_of = rank_lookup(self.v, k)
+        out = []
+        for r in map(rank_of, combinations(S, k)):
+            if not bits >> r & 1:
+                out.append(r)
+                if len(out) > limit:
+                    return out
+        inside = frozenset(S)
+        for e in edges:
+            if i <= len(inside.intersection(e)) < k:
+                out.append(rank_of(e))
+                if len(out) > limit:
+                    break
+        return out
+
+    def _near_cliques(self, edges, slack: int):
+        """The h-sets, in lexicographic order, that may miss at most `slack`
+        (0 or 1) of their inside edges, as candidates for _defects.
+
+        Each vertex of such a set lies in C(h-1,k-1) inside edges, so its
+        degree is at least C(h-1,k-1) - slack.  For h = k+1 and slack 1,
+        the set keeps at least k of its k+1 inside edges; any two of those
+        share k-1 vertices and unite to the set, so the unions of such edge
+        pairs are the candidates.
+        """
+        v, k, h = self.v, self.k, self.h
+        if h == k + 1 and slack:
+            by_sub: dict = {}
+            cands = set()
+            for e in edges:
+                for drop in range(k):
+                    sub = e[:drop] + e[drop + 1 :]
+                    for other in by_sub.setdefault(sub, []):
+                        cands.add(tuple(sorted(set(e) | set(other))))
+                    by_sub[sub].append(e)
+            return sorted(cands)
+        deg = [0] * v
+        for e in edges:
+            for u in e:
+                deg[u] += 1
+        min_deg = math.comb(h - 1, k - 1) - slack
+        return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 
     def witness_term(self, x):
         res = self.explain(x)
@@ -343,7 +400,7 @@ class IsolatedVertexProperty(GraphPropertyBase):
         return next(((u,) for u in range(self.v) if u not in touched), None)
 
     def value(self, x) -> int:
-        return 0 if self._find(as_bits(x, self.n)) is None else 1
+        return 0 if self._find(self._bits(x)) is None else 1
 
     def witness(self) -> int:
         from .witnesses import build_isolated_vertex_witness
@@ -377,7 +434,6 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         self.h = h
         self.n = math.comb(v, k)
         self.block_cap = k + 1
-        self._min_deg = math.comb(h - 1, k - 1)
 
     @staticmethod
     def from_t(
@@ -389,36 +445,13 @@ class IsolatedCliqueProperty(GraphPropertyBase):
 
     def _find(self, bits: int):
         edges = self._edges(bits)
-        if len(edges) < math.comb(self.h, self.k):
-            return None
-        deg = Counter()
-        for e in edges:
-            for u in e:
-                deg[u] += 1
-        # every vertex of an h-clique lies in C(h-1, k-1) of its edges
-        cand = sorted(u for u, d in deg.items() if d >= self._min_deg)
-        if len(cand) < self.h:
-            return None
-        rank_of = rank_lookup(self.v, self.k)
-        for S in combinations(cand, self.h):
-            inside = frozenset(S)
-            if not all(
-                bits >> rank_of(sub) & 1 for sub in combinations(S, self.k)
-            ):
-                continue
-            if self._isolated(edges, inside):
+        for S in self._near_cliques(edges, 0):
+            if not self._defects(bits, edges, S, 0):
                 return S
         return None
 
-    def _isolated(self, edges, inside: frozenset) -> bool:
-        for e in edges:
-            c = sum(1 for u in e if u in inside)
-            if self.i <= c < self.k:
-                return False
-        return True
-
     def value(self, x) -> int:
-        return 0 if self._find(as_bits(x, self.n)) is None else 1
+        return 0 if self._find(self._bits(x)) is None else 1
 
     def witness(self) -> int:
         from .witnesses import build_s1_witness
@@ -471,7 +504,7 @@ class IsolatedTriangleProperty(IsolatedCliqueProperty):
         return None
 
     def value(self, x) -> int:
-        return 0 if self._find(as_bits(x, self.n)) is None else 1
+        return 0 if self._find(self._bits(x)) is None else 1
 
     def packing(self):
         from .witnesses import triangle_packing
@@ -479,28 +512,6 @@ class IsolatedTriangleProperty(IsolatedCliqueProperty):
         return triangle_packing(self.v)
 
     spec_json = GraphPropertyBase.spec_json
-
-
-def eval_rubinstein(k: int, x) -> EvalResult:
-    return RubinsteinProperty(k).explain(x)
-
-
-def eval_cyclic_rubinstein(k: int, x) -> EvalResult:
-    return CyclicRubinsteinProperty(k).explain(x)
-
-
-def eval_isolated_vertex(G: Hypergraph) -> EvalResult:
-    if G.k != 2:
-        raise WrongArity("isolated-vertex is a graph (k=2) property")
-    return IsolatedVertexProperty(G.v).explain(G)
-
-
-def eval_isolated_clique(spec: IsolatedCliqueProperty, G: Hypergraph) -> EvalResult:
-    if (spec.v, spec.k) != (G.v, G.k):
-        raise SpecMismatch(
-            f"spec is on (v={spec.v}, k={spec.k}), input on (v={G.v}, k={G.k})"
-        )
-    return spec.explain(G)
 
 
 def property_from_json(obj) -> Property:
@@ -529,7 +540,10 @@ def property_from_json(obj) -> Property:
     if variant == "isolated-triangle":
         return IsolatedTriangleProperty(need("v"))
     v, k, i = need("v"), need("k"), need("i")
-    allow = bool(obj.get("allow_i_equal_k", False))
+    allow = obj.get("allow_i_equal_k")
+    if allow is not None and not isinstance(allow, bool):
+        raise BadParameter(f"{variant} spec needs a boolean 'allow_i_equal_k'")
+    allow = bool(allow)
     if obj.get("h") is not None:
         return IsolatedCliqueProperty(v, k, i, need("h"), allow)
     if obj.get("t") is not None:

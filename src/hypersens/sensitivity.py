@@ -42,7 +42,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .errors import (
     TooLarge,
     ValueIsOne,
 )
-from .hypergraphs import edges_of_bits, rank_lookup
+from .hypergraphs import edges_of_bits
 from .properties import as_bits
 from .rng import SplitMix64
 
@@ -424,65 +423,24 @@ def certify_blocks(f, x, blocks) -> BlockCertificate:
 
 
 def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
-    """All h-vertex sets one edge-flip away from being a desired isolated clique.
+    """All h-sets with exactly one defect (see GraphPropertyBase), in
+    lexicographic order: flipping that edge, by adding a missing inside edge
+    or removing a present edge that crosses the set, makes the set a desired
+    isolated clique.
 
     `spec` is a graph property with isolation parameters i and h, such as an
     IsolatedCliqueProperty (IsolatedTriangleProperty is its k=2, i=1, h=3
-    subclass); f(G) must be 0.
+    subclass).  f(G) must be 0: the candidates include every set without a
+    defect, and meeting one raises ValueIsOne.
     """
-    v, k, i, h = spec.v, spec.k, spec.i, spec.h
     bits = as_bits(G, spec.n)
-    if spec.value(bits):
-        raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
-    rank_of = rank_lookup(v, k)
-    edges = edges_of_bits(v, k, bits)
+    edges = edges_of_bits(spec.v, spec.k, bits)
     out = []
-    for S in _tuple_candidates(v, k, h, edges):
-        inside = frozenset(S)
-        missing = [
-            rank_of(sub)
-            for sub in combinations(S, k)
-            if not bits >> rank_of(sub) & 1
-        ]
-        if len(missing) > 1:
-            continue
-        violators = []
-        for e in edges:
-            c = sum(1 for u in e if u in inside)
-            if i <= c < k:
-                violators.append(rank_of(e))
-                if len(missing) + len(violators) > 1:
-                    break
-        if len(missing) == 1 and not violators:
-            out.append(SensitiveTuple(S, missing[0], "add"))
-        elif not missing and len(violators) == 1:
-            out.append(SensitiveTuple(S, violators[0], "remove"))
-    out.sort(key=lambda t: t.vertices)
+    for S in spec._near_cliques(edges, 1):
+        defects = spec._defects(bits, edges, S, 1)
+        if not defects:
+            raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
+        if len(defects) == 1:
+            e = defects[0]
+            out.append(SensitiveTuple(S, e, "remove" if bits >> e & 1 else "add"))
     return out
-
-
-def _tuple_candidates(v, k, h, edges):
-    """Vertex sets that could be one flip away from an h-clique.
-
-    For h = k+1 a near-clique keeps at least k of its k+1 edges, and any two
-    of those share k-1 vertices and union to the whole tuple, so unions of
-    edge pairs with |e & e'| = k-1 cover every candidate.  Otherwise fall
-    back to combinations of vertices with enough incident edges.
-    """
-    if h == k + 1:
-        by_sub: dict = {}
-        cands = set()
-        for e in edges:
-            for drop in range(k):
-                sub = e[:drop] + e[drop + 1 :]
-                for other in by_sub.setdefault(sub, []):
-                    cands.add(tuple(sorted(set(e) | set(other))))
-                by_sub[sub].append(e)
-        return sorted(cands)
-    deg = [0] * v
-    for e in edges:
-        for u in e:
-            deg[u] += 1
-    min_deg = math.comb(h - 1, k - 1) - 1
-    cand = [u for u in range(v) if deg[u] >= min_deg]
-    return combinations(cand, h)

@@ -26,7 +26,7 @@ from .errors import (
     SetOutOfRange,
     TooSmall,
 )
-from .families import SetFamily, generate_family, trim_sets
+from .families import SetFamily, first_overlap, generate_family, trim_sets
 from .gf import make_field, prime_power, prime_power_in_range
 from .hypergraphs import Hypergraph, boundary_count, rank_subset
 from .properties import IsolatedCliqueProperty
@@ -145,14 +145,12 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
     for s in vertex_sets:
         if len(s) != h:
             raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
-    sets = [frozenset(s) for s in vertex_sets]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            inter = len(sets[a] & sets[b])
-            if inter >= i:
-                raise IntersectionTooLarge(
-                    f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
-                )
+    overlap = first_overlap(vertex_sets, i)
+    if overlap is not None:
+        a, b, inter = overlap
+        raise IntersectionTooLarge(
+            f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
+        )
     bits = 0
     for s in vertex_sets:
         inside = sorted(combinations(s, k))

@@ -74,6 +74,27 @@ def naive_isolated_clique_value(v, k, i, h, bits):
     return 0
 
 
+def sensitive_tuples_oracle(v, k, i, h, bits):
+    """(vertices, edge, direction) of every h-set S with exactly one defect,
+    in lexicographic order of S.  A defect is a slot whose bit keeps S from
+    being an isolated h-clique: an absent slot inside S, or a present one
+    meeting S in i..k-1 vertices; all C(v,k) slots are counted."""
+    subs = subset_table(v, k)[0]
+    out = []
+    for S in combinations(range(v), h):
+        inside = set(S)
+        defects = []
+        for r, e in enumerate(subs):
+            c = len(inside.intersection(e))
+            present = bits >> r & 1
+            if (c == k and not present) or (i <= c < k and present):
+                defects.append(r)
+        if len(defects) == 1:
+            r = defects[0]
+            out.append((S, r, "remove" if bits >> r & 1 else "add"))
+    return out
+
+
 def flip_all_oracle(f, x):
     """(f(x), sensitive bits of x) by one full evaluation of every flip."""
     fx = f.value(x)

@@ -272,6 +272,11 @@ def _write(tmp_path, name, text):
         ("--input", lambda d: _write(d, "h.json", '{"v": 5, "k": 2, "hex": "zz"}'),
          "'hex'"),
         ("--input", lambda d: _write(d, "n.json", "[1, 2]"), "--input file"),
+        ("--input", lambda d: _write(d, "e.json", '{"v": 5, "k": 2, "edges": [5]}'),
+         "'edges'"),
+        ("--input",
+         lambda d: _write(d, "s.json", '{"v": 5, "k": 2, "edges": [[1, "a"]]}'),
+         "'edges'"),
         ("--spec", lambda d: "{", "invalid JSON"),
         ("--spec", lambda d: "[1, 2]", "JSON object"),
         ("--spec", lambda d: '{"variant": "rubinstein"}', "'rubinstein_k'"),
@@ -280,6 +285,8 @@ def _write(tmp_path, name, text):
         ("--spec", lambda d: '{"variant": "isolated-clique", "v": 8, "k": 3, "i": 1}',
          "'h' or 't'"),
         ("--spec", lambda d: '{"variant": "isolated-cube", "v": 8}', "isolated-cube"),
+        ("--spec", lambda d: '{"variant": "isolated-clique", "v": 5, "k": 2, "i": 2,'
+         ' "h": 3, "allow_i_equal_k": "no"}', "'allow_i_equal_k'"),
         ("--spec", lambda d: f"@{d / 'missing.json'}", "cannot read"),
     ],
     ids=[
@@ -288,12 +295,15 @@ def _write(tmp_path, name, text):
         "input-hypergraph-without-k",
         "input-hypergraph-bad-hex",
         "input-json-list",
+        "input-hypergraph-int-edge",
+        "input-hypergraph-string-vertex",
         "spec-invalid-json",
         "spec-json-list",
         "spec-rubinstein-without-k",
         "spec-string-k",
         "spec-clique-without-h-or-t",
         "spec-unknown-variant",
+        "spec-string-allow-i-equal-k",
         "spec-missing-file",
     ],
 )

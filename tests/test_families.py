@@ -65,7 +65,8 @@ def test_verify_flags_duplicates_and_sizes():
     fam = generate_family(make_field(3, 1), 2, 1)
     dup = replace(fam, sets=fam.sets + (fam.sets[0],))
     check = verify_family(dup)
-    assert not check.ok and "intersect" in check.violation
+    assert not check.ok
+    assert check.violation == f"sets #0 and #{len(fam.sets)} intersect in 3 >= d = 2"
     short = replace(fam, sets=(fam.sets[0][:2],) + fam.sets[1:])
     check = verify_family(short)
     assert not check.ok and "size" in check.violation

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hypersens.errors import DegreeOutOfRange, NonPrime, ZeroInverse
 from hypersens.gf import (
     FieldPoly,
-    eval_poly,
     is_prime,
     make_field,
     prime_power,
@@ -140,13 +139,13 @@ def test_operator_sugar():
 def test_eval_poly_examples():
     gf5 = make_field(5, 1)
     f = FieldPoly.from_ranks(gf5, [1, 1])  # x + 1
-    assert eval_poly(f, gf5.from_rank(4)).rank == 0
+    assert f.eval(gf5.from_rank(4)).rank == 0
     gf3 = make_field(3, 1)
     sq = FieldPoly.from_ranks(gf3, [0, 0, 1])  # x^2
-    assert eval_poly(sq, gf3.from_rank(2)).rank == 1
+    assert sq.eval(gf3.from_rank(2)).rank == 1
     const = FieldPoly.from_ranks(gf3, [2])
     for x in gf3.elements():
-        assert eval_poly(const, x).rank == 2
+        assert const.eval(x).rank == 2
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])

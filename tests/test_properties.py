@@ -13,8 +13,6 @@ from hypersens.errors import (
     IOutOfRange,
     LengthMismatch,
     OddK,
-    SpecMismatch,
-    WrongArity,
 )
 from hypersens.hypergraphs import Hypergraph, is_clique, is_isolated
 from hypersens.properties import (
@@ -24,10 +22,6 @@ from hypersens.properties import (
     IsolatedVertexProperty,
     RubinsteinProperty,
     as_bits,
-    eval_cyclic_rubinstein,
-    eval_isolated_clique,
-    eval_isolated_vertex,
-    eval_rubinstein,
     property_from_json,
     rotate_left,
 )
@@ -47,17 +41,17 @@ def verify_rubinstein_witness(k, x, witness):
 
 class TestRubinstein:
     def test_examples(self):
-        assert eval_rubinstein(2, "1100").value == 1
-        assert eval_rubinstein(4, "0" * 16).value == 0
+        assert RubinsteinProperty(2).explain("1100").value == 1
+        assert RubinsteinProperty(4).explain("0" * 16).value == 0
         x = ["0"] * 16
         x[5], x[6] = "1", "1"  # second block reads 0110
-        assert eval_rubinstein(4, "".join(x)).value == 1
+        assert RubinsteinProperty(4).explain("".join(x)).value == 1
 
     def test_two_ones_must_be_adjacent_and_alone(self):
-        assert eval_rubinstein(2, "1001").value == 0  # ones straddle blocks
-        assert eval_rubinstein(4, "1010" + "0" * 12).value == 0
-        assert eval_rubinstein(4, "1110" + "0" * 12).value == 0
-        assert eval_rubinstein(4, "0110" + "1" * 12).value == 1  # rest unconstrained
+        assert RubinsteinProperty(2).explain("1001").value == 0  # ones straddle blocks
+        assert RubinsteinProperty(4).explain("1010" + "0" * 12).value == 0
+        assert RubinsteinProperty(4).explain("1110" + "0" * 12).value == 0
+        assert RubinsteinProperty(4).explain("0110" + "1" * 12).value == 1  # rest unconstrained
 
     def test_witness_round_trip(self):
         rng = SplitMix64(3)
@@ -75,17 +69,17 @@ class TestRubinstein:
         with pytest.raises(OddK):
             RubinsteinProperty(3)
         with pytest.raises(BadLength):
-            eval_rubinstein(2, "110")
+            RubinsteinProperty(2).explain("110")
         with pytest.raises(LengthMismatch):
             RubinsteinProperty(2).value(1 << 5)
 
 
 class TestCyclicRubinstein:
     def test_examples(self):
-        assert eval_cyclic_rubinstein(2, "0110").value == 1
+        assert CyclicRubinsteinProperty(2).explain("0110").value == 1
         # every block of every shift carries k = 4 > 2 ones
-        assert eval_cyclic_rubinstein(4, "1" * 16).value == 0
-        shifted_in = eval_cyclic_rubinstein(2, "1100")
+        assert CyclicRubinsteinProperty(4).explain("1" * 16).value == 0
+        shifted_in = CyclicRubinsteinProperty(2).explain("1100")
         assert shifted_in.value == 1 and shifted_in.witness.shift == 0
 
     def test_wraparound_pair(self):
@@ -114,33 +108,36 @@ class TestCyclicRubinstein:
 
 class TestIsolatedVertex:
     def test_examples(self):
-        assert eval_isolated_vertex(Hypergraph.empty(4, 2)).value == 1
-        assert eval_isolated_vertex(Hypergraph.complete(5, 2)).value == 0
+        assert IsolatedVertexProperty(4).explain(Hypergraph.empty(4, 2)).value == 1
+        assert IsolatedVertexProperty(5).explain(Hypergraph.complete(5, 2)).value == 0
         star = Hypergraph.from_edges(5, 2, [(0, u) for u in range(1, 5)])
-        assert eval_isolated_vertex(star).value == 0
+        assert IsolatedVertexProperty(5).explain(star).value == 0
 
     def test_witness_is_smallest_isolated_vertex(self):
         G = Hypergraph.from_edges(5, 2, [(0, 1)])
-        assert eval_isolated_vertex(G).witness == (2,)
+        assert IsolatedVertexProperty(5).explain(G).witness == (2,)
 
     def test_arity_check(self):
-        with pytest.raises(WrongArity):
-            eval_isolated_vertex(Hypergraph.empty(5, 3))
+        # C(5,3) = C(5,2): the slot counts agree, the arity does not
+        f = IsolatedVertexProperty(5)
+        for call in (f.explain, f.value):
+            with pytest.raises(BadParameter):
+                call(Hypergraph.empty(5, 3))
 
 
 class TestIsolatedClique:
     def test_examples(self):
         spec3 = IsolatedCliqueProperty(3, 2, 1, 3)
         tri = Hypergraph.from_edges(3, 2, [(0, 1), (0, 2), (1, 2)])
-        assert eval_isolated_clique(spec3, tri).value == 1
+        assert spec3.explain(tri).value == 1
 
         spec4 = IsolatedCliqueProperty(4, 2, 1, 3)
         pendant = Hypergraph.from_edges(4, 2, [(0, 1), (0, 2), (1, 2), (2, 3)])
-        assert eval_isolated_clique(spec4, pendant).value == 0
+        assert spec4.explain(pendant).value == 0
 
         spec5 = IsolatedCliqueProperty(5, 2, 1, 3)
         far = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        assert eval_isolated_clique(spec5, far).value == 1
+        assert spec5.explain(far).value == 1
 
     def test_witness_re_verifies(self):
         # plant an isolated clique on a random 4-set; noise stays on the
@@ -161,7 +158,7 @@ class TestIsolatedClique:
 
     def test_matches_naive_evaluator_on_random_graphs(self):
         rng = SplitMix64(17)
-        for v, k, i, h in [(6, 2, 1, 3), (7, 3, 1, 4), (7, 3, 2, 4)]:
+        for v, k, i, h in [(6, 2, 1, 3), (7, 3, 1, 4), (7, 3, 2, 4), (7, 3, 1, 5)]:
             spec = IsolatedCliqueProperty(v, k, i, h)
             for _ in range(150):
                 bits = rng.bits(spec.n)
@@ -176,10 +173,8 @@ class TestIsolatedClique:
             IsolatedCliqueProperty(6, 2, 1, 2)  # h < k+1
         with pytest.raises(BadParameter):
             IsolatedCliqueProperty(6, 2, 1, 7)  # h > v
-        with pytest.raises(SpecMismatch):
-            eval_isolated_clique(
-                IsolatedCliqueProperty(6, 2, 1, 3), Hypergraph.empty(5, 2)
-            )
+        with pytest.raises(BadParameter):
+            IsolatedCliqueProperty(6, 2, 1, 3).explain(Hypergraph.empty(5, 2))
 
     def test_i_equal_k_needs_override(self):
         spec = IsolatedCliqueProperty(6, 2, 2, 3, allow_i_equal_k=True)
@@ -413,6 +408,29 @@ def test_graph_bits_checks_the_input_shape():
         IsolatedCliqueProperty(5, 3, 1, 4).graph_bits(G)
     with pytest.raises(BadParameter):
         RubinsteinProperty(2).graph_bits(G)
+    # value and explain route a hypergraph through graph_bits, so a
+    # hypergraph with the right slot count but the wrong shape is rejected
+    for prop, wrong in [
+        (RubinsteinProperty(4), Hypergraph.empty(16, 1)),
+        (CyclicRubinsteinProperty(4), Hypergraph.empty(16, 1)),
+        (IsolatedVertexProperty(5), Hypergraph.empty(5, 3)),
+        (IsolatedCliqueProperty(6, 3, 1, 4), Hypergraph.empty(20, 1)),
+    ]:
+        assert wrong.num_slots == prop.n
+        for call in (prop.value, prop.explain):
+            with pytest.raises(BadParameter):
+                call(wrong)
+
+
+def test_allow_i_equal_k_must_be_a_json_boolean():
+    spec = {"variant": "isolated-clique", "v": 5, "k": 2, "i": 2, "h": 3}
+    assert property_from_json({**spec, "allow_i_equal_k": True}).i == 2
+    for absent in ({}, {"allow_i_equal_k": None}, {"allow_i_equal_k": False}):
+        with pytest.raises(IOutOfRange):
+            property_from_json({**spec, **absent})
+    for bad in ("no", "true", 1, 0, [True]):
+        with pytest.raises(BadParameter, match="allow_i_equal_k"):
+            property_from_json({**spec, "allow_i_equal_k": bad})
 
 
 def test_as_bits_coercions():

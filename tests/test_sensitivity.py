@@ -10,6 +10,7 @@ from conftest import (
     flip_all_oracle,
     minimal_blocks_from_table,
     or_property,
+    sensitive_tuples_oracle,
     table_property,
 )
 
@@ -424,3 +425,28 @@ class TestSensitiveTuples:
         G = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2)])
         tuples = enumerate_sensitive_tuples(IsolatedTriangleProperty(5), G)
         assert len(tuples) == 1
+
+
+@pytest.mark.parametrize(
+    "v, k, i, h",
+    [(7, 2, 1, 3), (8, 3, 1, 4), (8, 3, 2, 4), (8, 3, 1, 5), (8, 2, 1, 4)],
+)
+def test_sensitive_tuples_match_oracle(v, k, i, h):
+    """Exactly the h-sets with one defect, at planted near-cliques (an inside
+    edge removed, or an edge added at a planted vertex) and at random
+    inputs; an input with f = 1 is rejected."""
+    f = IsolatedCliqueProperty(v, k, i, h)
+    rng = SplitMix64(71 + f.n)
+    inputs = _planted_graph_inputs(f, 73 + f.n, count=40)
+    inputs += [rng.bits(f.n) & rng.bits(f.n) for _ in range(10)]
+    directions = set()
+    for x in inputs:
+        if f.value(x):
+            with pytest.raises(ValueIsOne):
+                enumerate_sensitive_tuples(f, x)
+            continue
+        tuples = enumerate_sensitive_tuples(f, x)
+        tuples = [(t.vertices, t.edge, t.direction) for t in tuples]
+        assert tuples == sensitive_tuples_oracle(v, k, i, h, x), x
+        directions.update(t[2] for t in tuples)
+    assert directions == {"add", "remove"}

@@ -1,6 +1,8 @@
 """Packings and witness constructions."""
 
+import json
 import math
+import pathlib
 from itertools import combinations
 
 import pytest
@@ -163,6 +165,9 @@ class TestS0Witness:
     def test_precondition_validation(self):
         with pytest.raises(IntersectionTooLarge):
             build_s0_witness([(0, 1, 2), (2, 3, 4)], 6, 2, 1, 3)
+        # the first offending pair a < b, by a and then b, is named
+        with pytest.raises(IntersectionTooLarge, match="sets #0 and #2 share 1 "):
+            build_s0_witness([(0, 1, 2), (3, 4, 5), (2, 6, 7), (1, 3, 8)], 9, 2, 1, 3)
         with pytest.raises(SetOutOfRange):
             build_s0_witness([(0, 1, 9)], 6, 2, 1, 3)
         with pytest.raises(BadParameter):
@@ -259,6 +264,23 @@ class TestFamilyWitnessPlan:
     def test_odd_k3_unavailable_at_tiny_v(self):
         with pytest.raises(ConstructionUnavailable):
             plan_family_witness(30, 3)
+
+
+_FAMILY_TUPLES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "family_tuples.json").read_text()
+)
+
+
+@pytest.mark.parametrize("call", sorted(_FAMILY_TUPLES))
+def test_family_witness_tuples_are_golden(call):
+    """Every sensitive tuple (vertices, edge, direction) of the prefix family
+    witnesses that the family_route benchmark certifies, pinned in full."""
+    v, k, limit = map(int, call[call.index("(") + 1 : -1].split(","))
+    G, count, prop = build_family_witness(v, k, limit)
+    tuples = enumerate_sensitive_tuples(prop, G)
+    got = [[list(t.vertices), t.edge, t.direction] for t in tuples]
+    assert got == _FAMILY_TUPLES[call]
+    assert len(tuples) == count
 
 
 def test_witness_json_metadata():
