@@ -19,8 +19,9 @@ for p, m in [(5, 1), (2, 2), (3, 2)]:
     print(f"GF({f.order}): modulus coefficients (low degree first) = {f.modulus or '(prime field)'}")
 
 gf4 = make_field(2, 2)
-x = gf4.element((0, 1))
-print(f"in GF(4): x * x = element with coefficients {(x * x).coeffs}  (x + 1)")
+x = 2  # rank of the coefficient vector (0, 1)
+xx = gf4.mul(x, x)
+print(f"in GF(4): x * x = element with coefficients {(xx % 2, xx // 2)}  (x + 1)")
 print(f"smallest prime power strictly between 5 and 10: {prime_power_in_range(5, 10)}")
 
 print()

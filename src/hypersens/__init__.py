@@ -13,7 +13,6 @@ from .errors import DomainError
 from .families import SetFamily, generate_family, trim_sets, verify_family
 from .gf import (
     Field,
-    FieldElement,
     FieldPoly,
     make_field,
     prime_power,

@@ -244,11 +244,7 @@ def cmd_selftest(args):
     gf4 = make_field(2, 2)
     check(
         "GF(4) multiplicative inverses",
-        lambda: all(
-            gf4.mul(e, gf4.inv(e)) == gf4.one
-            for e in gf4.elements()
-            if not e.is_zero()
-        ),
+        lambda: all(gf4.mul(e, gf4.inv(e)) == 1 for e in range(1, 4)),
     )
     fam = generate_family(make_field(3, 1), 2, 1)
     check("9-set family over GF(3) verifies", lambda: verify_family(fam).ok)

@@ -77,7 +77,6 @@ def generate_family(
     if count < 0:
         raise BadParameter("limit must be nonnegative")
 
-    points = list(field.elements())
     qpow = [q**j for j in range(ell + 1)]
     sets = []
     for t in range(count):
@@ -88,10 +87,10 @@ def generate_family(
             for c in range(ell)
         ]
         members = []
-        for x in points:
-            enc = 1 + x.rank
+        for x in range(q):
+            enc = 1 + x
             for j, f in enumerate(polys, start=1):
-                enc += f.eval(x).rank * qpow[j]
+                enc += f.eval(x) * qpow[j]
             members.append(enc)
         sets.append(tuple(sorted(members)))
     return SetFamily(q, d, ell, universe, tuple(sets), q)

@@ -1,25 +1,39 @@
-"""Exact arithmetic in GF(p^m) for small prime powers (q <= 2^20).
+"""Exact arithmetic in GF(p^m) for prime powers q = p^m <= 2^15.
 
-Elements are coefficient vectors over F_p, lowest degree first.  Each element
-has a canonical integer rank
+An element is its rank, a plain int in [0, q): the element with coefficient
+vector (c_0, ..., c_{m-1}) over F_p, lowest degree first, has
 
-    rank(e) = sum_j coeffs[j] * p^j   in [0, q),
+    rank = sum_j c_j * p^j,
 
 which gives the total ordering that the set-family encoding relies on.  The
 extension modulus is the lexicographically smallest monic irreducible of the
 requested degree (coefficient vectors compared low-degree-first), so all
 downstream constructions are reproducible byte for byte.
 
-Primality and irreducibility use trial division; the in-scope fields are far
-too small to need anything faster.
+make_field builds three tables once, over the smallest-rank primitive element
+g (found by an order test against the prime factors of q - 1):
+
+    exp[j] = g^j,   log[g^j] = j,   exp[zech[j]] = 1 + g^j  (Zech logarithms),
+
+and every operation is a lookup: a * b = g^(log a + log b) and, for nonzero
+a and b, a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The
+polynomial product appears only in the table build, as the matrix of
+"multiply by c" on coefficient vectors.
+
+q <= 2^15 is the largest order a set family can use (q^(ell+1) must fit its
+2^30 universe with ell >= 1), and it bounds the table build.  Primality and
+irreducibility use trial division; the in-scope fields are far too small to
+need anything faster.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DegreeOutOfRange, NonPrime, ZeroInverse
 
-MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -85,140 +99,93 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     return True
 
 
-class FieldElement:
-    """Element of a Field, stored as a coefficient tuple over F_p."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: "Field", coeffs: tuple[int, ...]):
-        self.field = field
-        self.coeffs = coeffs
-
-    @property
-    def rank(self) -> int:
-        r = 0
-        for c in reversed(self.coeffs):
-            r = r * self.field.p + c
-        return r
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def inverse(self) -> "FieldElement":
-        return self.field.inv(self)
-
-    def __add__(self, other):
-        return self.field.add(self, other)
-
-    def __sub__(self, other):
-        return self.field.sub(self, other)
-
-    def __mul__(self, other):
-        return self.field.mul(self, other)
-
-    def __neg__(self):
-        return self.field.neg(self)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def __repr__(self):
-        return f"FieldElement({self.coeffs!r} over GF({self.field.order}))"
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 class Field:
-    """GF(p^m) with an explicit monic irreducible modulus (empty for m=1)."""
+    """GF(p^m) with an explicit monic irreducible modulus (empty for m=1);
+    its elements are the ranks 0 .. q-1."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.modulus = modulus  # length m+1 and monic, or () when m == 1
-        self.order = p**m
+        self.order = q = p**m
+        place = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // place % p  # row a: the digits of a
+        g = next(c for c in range(1, q) if self._is_primitive(digits[c]))
+        times_g = (digits @ self._times(digits[g]) % p @ place).tolist()
+        exp, log, a = [0] * (q - 1), [None] * q, 1
+        for j in range(q - 1):
+            exp[j], log[a] = a, j
+            a = times_g[a]
+        self._log = log
+        self._exp = exp + exp  # log a + log b < 2(q - 1) needs no reduction
+        # 1 + a changes only the constant digit; None marks 1 + g^j = 0
+        self._zech = [log[a - a % p + (a + 1) % p] for a in exp]
 
-    def element(self, coeffs) -> FieldElement:
-        c = tuple(x % self.p for x in coeffs)
-        if len(c) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(c)}")
-        return FieldElement(self, c)
+    def _times(self, c) -> np.ndarray:
+        """The matrix of multiplication by c on digit rows: row i holds the
+        digits of c * x^i mod the modulus, each row the previous one times x
+        with its x^m term reduced."""
+        rows = [list(c)]
+        for _ in range(self.m - 1):
+            row = rows[-1]
+            top = row[-1]
+            rows.append(
+                [(lo - top * f) % self.p for lo, f in zip([0] + row[:-1], self.modulus)]
+            )
+        return np.array(rows, dtype=np.int64)
 
-    def from_rank(self, r: int) -> FieldElement:
-        if not 0 <= r < self.order:
-            raise ValueError(f"rank {r} outside [0, {self.order})")
-        coeffs = []
-        for _ in range(self.m):
-            coeffs.append(r % self.p)
-            r //= self.p
-        return FieldElement(self, tuple(coeffs))
+    def _is_primitive(self, c) -> bool:
+        """c^((q-1)/r) != 1 for every prime r | q - 1, by matrix powers."""
+        n = self.order - 1
+        ident, times_c = np.eye(self.m, dtype=np.int64), self._times(c)
+        for r in _prime_factors(n):
+            acc, base, e = ident, times_c, n // r
+            while e:
+                if e & 1:
+                    acc = acc @ base % self.p
+                base, e = base @ base % self.p, e >> 1
+            if np.array_equal(acc, ident):
+                return False
+        return True
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.m)
+    def add(self, a: int, b: int) -> int:
+        if not a:
+            return b
+        if not b:
+            return a
+        # a negative difference indexes from the end, i.e. modulo q - 1
+        z = self._zech[self._log[b] - self._log[a]]
+        return 0 if z is None else self._exp[self._log[a] + z]
 
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.m - 1))
+    def neg(self, a: int) -> int:
+        return self.mul(a, self.p - 1)  # p - 1 is the rank of -1
 
-    def elements(self):
-        return (self.from_rank(r) for r in range(self.order))
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
-    def _check(self, *elems):
-        for e in elems:
-            if e.field is not self:
-                raise ValueError("elements belong to different fields")
+    def mul(self, a: int, b: int) -> int:
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement(
-            self, tuple((x + y) % self.p for x, y in zip(a.coeffs, b.coeffs))
-        )
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroInverse("0 has no multiplicative inverse")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return FieldElement(
-            self, tuple((x - y) % self.p for x, y in zip(a.coeffs, b.coeffs))
-        )
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return FieldElement(self, tuple((-x) % self.p for x in a.coeffs))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        if self.m == 1:
-            return FieldElement(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    prod[i + j] += x * y
-        rem = _poly_rem(prod, list(self.modulus), self.p)
-        rem += [0] * (self.m - len(rem))
-        return FieldElement(self, tuple(rem))
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        if a.is_zero():
-            raise ZeroInverse("0 has no multiplicative inverse")
-        # the nonzero elements form a group of order q-1, so a^(q-2) = a^-1
-        return self.pow(a, self.order - 2)
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
 
     def __repr__(self):
         return f"Field(GF({self.order}))"
@@ -246,19 +213,19 @@ def make_field(p: int, m: int) -> Field:
 
 @dataclass(frozen=True)
 class FieldPoly:
-    """Polynomial over a field, coefficients lowest degree first."""
+    """Polynomial over a field, coefficient ranks lowest degree first."""
 
     field: Field
-    coeffs: tuple[FieldElement, ...]
+    coeffs: tuple[int, ...]
 
     @classmethod
     def from_ranks(cls, field: Field, ranks) -> "FieldPoly":
-        return cls(field, tuple(field.from_rank(r) for r in ranks))
+        return cls(field, tuple(ranks))
 
-    def eval(self, x: FieldElement) -> FieldElement:
+    def eval(self, x: int) -> int:
         """Horner evaluation."""
-        self.field._check(x)
-        acc = self.field.zero
+        add, mul = self.field.add, self.field.mul
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = self.field.add(self.field.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc

@@ -26,7 +26,8 @@ exposes
     graph_bits(G)
                  -- the bits of a Hypergraph input, checked against the
                     property's (v, k); only graph properties take one, and
-                    value and explain pass a Hypergraph through it
+                    value, explain and the sensitivity engines pass a
+                    Hypergraph through it (see input_bits)
 
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
@@ -74,11 +75,7 @@ def rotate_left(x: int, l: int, n: int) -> int:
 
 
 def as_bits(x, n: int) -> int:
-    """Coerce an input (int, 0/1 string, bit sequence, Hypergraph) to a bitmask."""
-    if isinstance(x, Hypergraph):
-        if x.num_slots != n:
-            raise LengthMismatch(f"hypergraph has {x.num_slots} slots, need {n}")
-        return x.bits
+    """Coerce an input (int, 0/1 string, bit sequence) to an n-bit mask."""
     if isinstance(x, str):
         if len(x) != n:
             raise BadLength(f"input string has length {len(x)}, need {n}")
@@ -93,6 +90,12 @@ def as_bits(x, n: int) -> int:
     if len(bits) != n:
         raise BadLength(f"input has length {len(bits)}, need {n}")
     return sum(1 << i for i, b in enumerate(bits) if b)
+
+
+def input_bits(f, x) -> int:
+    """f's input x as a bitmask: a Hypergraph goes through f.graph_bits,
+    which checks its (v, k), anything else through as_bits."""
+    return f.graph_bits(x) if isinstance(x, Hypergraph) else as_bits(x, f.n)
 
 
 def bits_to_string(x: int, n: int) -> str:
@@ -125,12 +128,8 @@ class Property:
         raise NotImplementedError
 
     def explain(self, x) -> EvalResult:
-        w = self._find(self._bits(x))
+        w = self._find(input_bits(self, x))
         return EvalResult(0) if w is None else EvalResult(1, w)
-
-    def _bits(self, x) -> int:
-        """The input as bits; a Hypergraph goes through graph_bits."""
-        return self.graph_bits(x) if isinstance(x, Hypergraph) else as_bits(x, self.n)
 
     def __call__(self, x) -> int:
         return self.value(x)
@@ -203,7 +202,7 @@ class RubinsteinProperty(Property):
         return None if b is None else RubinsteinWitness(block=b, shift=0)
 
     def value(self, x) -> int:
-        return 0 if self._match(self._bits(x)) is None else 1
+        return 0 if self._match(input_bits(self, x)) is None else 1
 
     def _make_patterns(self):
         k = self.k
@@ -220,7 +219,7 @@ class RubinsteinProperty(Property):
             return None
         w = res.witness
         care = rotate_left(self._block_mask << w.block * self.k, -w.shift, self.n)
-        return care, as_bits(x, self.n) & care
+        return care, input_bits(self, x) & care
 
     def witness_term_size(self) -> int:
         return self.k
@@ -246,7 +245,7 @@ class CyclicRubinsteinProperty(RubinsteinProperty):
         return None
 
     def value(self, x) -> int:
-        return 0 if self._find(self._bits(x)) is None else 1
+        return 0 if self._find(input_bits(self, x)) is None else 1
 
     def _make_patterns(self):
         # rotate_left(x, l) matches (care, want) iff x matches both rotated
@@ -400,7 +399,7 @@ class IsolatedVertexProperty(GraphPropertyBase):
         return next(((u,) for u in range(self.v) if u not in touched), None)
 
     def value(self, x) -> int:
-        return 0 if self._find(self._bits(x)) is None else 1
+        return 0 if self._find(input_bits(self, x)) is None else 1
 
     def witness(self) -> int:
         from .witnesses import build_isolated_vertex_witness
@@ -432,6 +431,7 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         self.k = k
         self.i = i
         self.h = h
+        self.allow_i_equal_k = allow_i_equal_k
         self.n = math.comb(v, k)
         self.block_cap = k + 1
 
@@ -451,7 +451,7 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         return None
 
     def value(self, x) -> int:
-        return 0 if self._find(self._bits(x)) is None else 1
+        return 0 if self._find(input_bits(self, x)) is None else 1
 
     def witness(self) -> int:
         from .witnesses import build_s1_witness
@@ -466,7 +466,10 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         return clique_packing(self.v, self.k)
 
     def spec_json(self) -> dict:
-        return {**super().spec_json(), "i": self.i, "h": self.h}
+        spec = {**super().spec_json(), "i": self.i, "h": self.h}
+        if self.allow_i_equal_k:
+            spec["allow_i_equal_k"] = True
+        return spec
 
 
 class IsolatedTriangleProperty(IsolatedCliqueProperty):
@@ -504,7 +507,7 @@ class IsolatedTriangleProperty(IsolatedCliqueProperty):
         return None
 
     def value(self, x) -> int:
-        return 0 if self._find(self._bits(x)) is None else 1
+        return 0 if self._find(input_bits(self, x)) is None else 1
 
     def packing(self):
         from .witnesses import triangle_packing

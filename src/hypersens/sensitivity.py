@@ -54,7 +54,7 @@ from .errors import (
     ValueIsOne,
 )
 from .hypergraphs import edges_of_bits
-from .properties import as_bits
+from .properties import input_bits
 from .rng import SplitMix64
 
 GLOBAL_BUDGET_BITS = 24
@@ -148,7 +148,7 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
     and so f = 1.  The term is checked first (x must match it, and its care
     must have the closed-form popcount); EvaluatorMismatch if it does not.
     """
-    bits = as_bits(x, f.n)
+    bits = input_bits(f, x)
     fx = f.value(bits)
     positions = range(f.n)
     witness_term = getattr(f, "witness_term", None)
@@ -314,7 +314,7 @@ def minimal_sensitive_blocks(
         raise TooLarge(f"block scan over an n={n} input is out of scope")
     if not 1 <= max_block_size <= n:
         raise TooLarge(f"need 1 <= max_block_size <= {n}")
-    bits = as_bits(x, n)
+    bits = input_bits(f, x)
     fx = bool(f.value(bits))
     found: list[int] = []
     # level 0 is the empty block, which flips nothing
@@ -383,7 +383,7 @@ def block_sensitivity_exact(
     f, x, max_block_size: int, deadline=None
 ) -> BlockSensitivity:
     """bs(f, x) over blocks of size <= max_block_size, with a certificate."""
-    bits = as_bits(x, f.n)
+    bits = input_bits(f, x)
     blocks = minimal_sensitive_blocks(f, x, max_block_size, deadline)
     if len(blocks) > MAX_PACKING_BLOCKS:
         raise TooLarge(f"{len(blocks)} blocks exceeds the packing budget")
@@ -403,7 +403,7 @@ def block_sensitivity_exact(
 
 def certify_blocks(f, x, blocks) -> BlockCertificate:
     """Verify that the given disjoint blocks all flip f at x."""
-    bits = as_bits(x, f.n)
+    bits = input_bits(f, x)
     fx = f.value(bits)
     used = 0
     norm = []
@@ -433,7 +433,7 @@ def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     subclass).  f(G) must be 0: the candidates include every set without a
     defect, and meeting one raises ValueIsOne.
     """
-    bits = as_bits(G, spec.n)
+    bits = input_bits(spec, G)
     edges = edges_of_bits(spec.v, spec.k, bits)
     out = []
     for S in spec._near_cliques(edges, 1):

@@ -199,3 +199,44 @@ def removed_edge_of(member, k):
     k-subset of the member."""
     inside = sorted(combinations(tuple(sorted(member)), k))
     return rank_subset(inside[-1], k)
+
+
+# --- GF(q) polynomial oracle -------------------------------------------------
+
+
+def gf_coeffs(field, r):
+    """Coefficients (lowest degree first) of the element of rank r."""
+    return [r // field.p**j % field.p for j in range(field.m)]
+
+
+def gf_rank(field, coeffs):
+    return sum(c * field.p**j for j, c in enumerate(coeffs))
+
+
+def poly_mul(a, b, p):
+    """Product of two coefficient lists over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def gf_oracle_tables(field):
+    """Add and mul tables of the field as q x q rank arrays, from coefficient
+    vectors: digitwise addition mod p, and the polynomial product reduced mod
+    the modulus by long division, vectorised over all pairs."""
+    p, m, q = field.p, field.m, field.order
+    place = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // place % p
+    add = (digits[:, None, :] + digits[None, :, :]) % p @ place
+    prod = np.zeros((q, q, 2 * m - 1), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            prod[:, :, i + j] += digits[:, None, i] * digits[None, :, j]
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[:, :, top] % p
+        for j, fj in enumerate(field.modulus):
+            prod[:, :, top - m + j] -= c * fj
+    mul = prod[:, :, :m] % p @ place
+    return add, mul

@@ -1,5 +1,9 @@
 """Polynomial set families: generation, verification, trimming."""
 
+import hashlib
+import json
+import pathlib
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -12,7 +16,7 @@ from hypersens.errors import (
     UniverseTooLarge,
 )
 from hypersens.families import SetFamily, generate_family, trim_sets, verify_family
-from hypersens.gf import make_field
+from hypersens.gf import make_field, prime_power
 
 
 def test_two_constant_polynomials_over_gf2():
@@ -126,3 +130,21 @@ def test_json_round_trip():
     fam = trim_sets(generate_family(make_field(5, 1), 2, 1), 4)
     again = SetFamily.from_json(fam.to_json())
     assert again == fam
+
+
+_GOLDEN_FAMILIES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "families.json").read_text()
+)
+
+
+@pytest.mark.parametrize("call", sorted(_GOLDEN_FAMILIES))
+def test_family_digest_is_golden(call):
+    """Set digests of small families over prime and extension fields up to
+    GF(256), pinned from the coefficient-vector arithmetic."""
+    q, d, ell, limit = map(int, re.findall(r"\d+", call))
+    fam = generate_family(make_field(*prime_power(q)), d, ell, limit)
+    blob = json.dumps([list(s) for s in fam.sets]).encode()
+    assert {
+        "sets": len(fam.sets),
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    } == _GOLDEN_FAMILIES[call]

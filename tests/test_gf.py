@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import gf_coeffs, gf_oracle_tables, gf_rank, poly_mul
 from hypersens.errors import DegreeOutOfRange, NonPrime, ZeroInverse
+from hypersens.families import MAX_UNIVERSE
 from hypersens.gf import (
+    MAX_ORDER,
     FieldPoly,
     is_prime,
     make_field,
@@ -53,14 +56,17 @@ def test_degree_bounds():
         make_field(2, 0)
     with pytest.raises(DegreeOutOfRange):
         make_field(2, 21)
+    with pytest.raises(DegreeOutOfRange):
+        make_field(2, 16)
+    with pytest.raises(DegreeOutOfRange):
+        make_field(65537, 1)
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+def test_max_order_is_the_largest_family_field():
+    # a family over GF(q) with ell >= 1 needs q^2 <= its universe bound
+    assert MAX_ORDER**2 == MAX_UNIVERSE
+    f = make_field(2, 15)
+    assert f.order == MAX_ORDER and f.mul(f.inv(12345), 12345) == 1
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
@@ -74,16 +80,15 @@ def test_modulus_is_monic_and_irreducible(p, m):
             a = [(ia // p**j) % p for j in range(da)] + [1]
             for ib in range(p**db):
                 b = [(ib // p**j) % p for j in range(db)] + [1]
-                assert _poly_mul(a, b, p) != mod
+                assert poly_mul(a, b, p) != mod
 
 
 @pytest.mark.parametrize("p,m", all_prime_powers(64))
 def test_field_axioms_exhaustive(p, m):
     f = make_field(p, m)
     q = f.order
-    elems = list(f.elements())
-    add = np.array([[f.add(a, b).rank for b in elems] for a in elems])
-    mul = np.array([[f.mul(a, b).rank for b in elems] for a in elems])
+    add = np.array([[f.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)])
     assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
     # [a,b,c] indexing: T[T] is (a@b)@c, T[:, T] is a@(b@c)
     assert np.array_equal(add[add], add[:, add])
@@ -92,13 +97,12 @@ def test_field_axioms_exhaustive(p, m):
     dist_rhs = add[mul[:, :, None], mul[:, None, :]]
     assert np.array_equal(dist_lhs, dist_rhs)
     # nonzero elements form a group under mul
-    one = f.one.rank
     inv_ranks = []
     for a in range(1, q):
-        hits = np.nonzero(mul[a] == one)[0]
+        hits = np.nonzero(mul[a] == 1)[0]
         assert len(hits) == 1
         inv_ranks.append(int(hits[0]))
-        assert f.inv(elems[a]).rank == hits[0]
+        assert f.inv(a) == hits[0]
     for a, ia in enumerate(inv_ranks, start=1):
         assert inv_ranks[ia - 1] == a  # inv is an involution
 
@@ -106,46 +110,69 @@ def test_field_axioms_exhaustive(p, m):
 @pytest.mark.parametrize("p,m", all_prime_powers(64))
 def test_rank_is_a_bijection(p, m):
     f = make_field(p, m)
-    ranks = [e.rank for e in f.elements()]
-    assert ranks == list(range(f.order))
-    for r in ranks:
-        assert f.from_rank(r).rank == r
+    vectors = {tuple(gf_coeffs(f, r)) for r in range(f.order)}
+    assert len(vectors) == f.order
+    for r in range(f.order):
+        assert gf_rank(f, gf_coeffs(f, r)) == r
+
+
+@pytest.mark.parametrize("p,m", all_prime_powers(256))
+def test_table_arithmetic_matches_polynomial_oracle(p, m):
+    f = make_field(p, m)
+    q = f.order
+    add, mul = gf_oracle_tables(f)
+    pairs = range(q)
+    assert [[f.add(a, b) for b in pairs] for a in pairs] == add.tolist()
+    assert [[f.mul(a, b) for b in pairs] for a in pairs] == mul.tolist()
+    neg = [int(np.nonzero(add[a] == 0)[0][0]) for a in pairs]
+    assert [f.neg(a) for a in pairs] == neg
+    assert [[f.sub(a, b) for b in pairs] for a in pairs] == add[:, neg].tolist()
+    inv = [int(np.nonzero(mul[a] == 1)[0][0]) for a in range(1, q)]
+    assert [f.inv(a) for a in range(1, q)] == inv
+    # pow by repeated oracle multiplication, exponents 0 .. q, and -1
+    power = np.ones(q, dtype=np.int64)
+    for e in range(q + 1):
+        assert [f.pow(a, e) for a in pairs] == power.tolist()
+        power = mul[power, np.arange(q)]
+    assert [f.pow(a, -1) for a in range(1, q)] == inv
 
 
 def test_arithmetic_examples():
     gf5 = make_field(5, 1)
-    assert gf5.add(gf5.from_rank(2), gf5.from_rank(3)).rank == 0
-    assert gf5.inv(gf5.from_rank(2)).rank == 3
+    assert gf5.add(2, 3) == 0
+    assert gf5.inv(2) == 3
     gf4 = make_field(2, 2)
-    x = gf4.element((0, 1))
-    assert gf4.mul(x, x) == gf4.element((1, 1))  # x^2 = x + 1 mod x^2+x+1
+    x = gf_rank(gf4, (0, 1))
+    assert gf4.mul(x, x) == gf_rank(gf4, (1, 1))  # x^2 = x + 1 mod x^2+x+1
 
 
 def test_zero_inverse_rejected():
     f = make_field(7, 1)
     with pytest.raises(ZeroInverse):
-        f.inv(f.zero)
+        f.inv(0)
+    with pytest.raises(ZeroInverse):
+        f.pow(0, -2)
+    assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
 
 
-def test_operator_sugar():
-    f = make_field(3, 2)
-    a, b = f.from_rank(4), f.from_rank(7)
-    assert (a + b) == f.add(a, b)
-    assert (a * b) == f.mul(a, b)
-    assert (a - a).is_zero()
-    assert (-a) + a == f.zero
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 1), (2, 3)])
+def test_negation_identities(p, m):
+    f = make_field(p, m)
+    for a in range(f.order):
+        assert f.sub(a, a) == 0
+        assert f.add(f.neg(a), a) == 0
 
 
 def test_eval_poly_examples():
     gf5 = make_field(5, 1)
     f = FieldPoly.from_ranks(gf5, [1, 1])  # x + 1
-    assert f.eval(gf5.from_rank(4)).rank == 0
+    assert f.eval(4) == 0
     gf3 = make_field(3, 1)
     sq = FieldPoly.from_ranks(gf3, [0, 0, 1])  # x^2
-    assert sq.eval(gf3.from_rank(2)).rank == 1
+    assert sq.eval(2) == 1
     const = FieldPoly.from_ranks(gf3, [2])
-    for x in gf3.elements():
-        assert const.eval(x).rank == 2
+    for x in range(3):
+        assert const.eval(x) == 2
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
@@ -157,8 +184,8 @@ def test_eval_poly_matches_power_sum(p, m):
         for idx in range(q**d):
             ranks = [(idx // q**j) % q for j in range(d)]
             poly = FieldPoly.from_ranks(f, ranks)
-            for x in f.elements():
-                acc = f.zero
+            for x in range(q):
+                acc = 0
                 for j, c in enumerate(poly.coeffs):
                     acc = f.add(acc, f.mul(c, f.pow(x, j)))
                 assert poly.eval(x) == acc
@@ -179,6 +206,7 @@ def test_is_prime_matches_factor_search(n):
 
 
 @given(st.integers(min_value=0, max_value=80))
-def test_from_rank_round_trip_gf81(r):
+def test_rank_round_trip_gf81(r):
     f = make_field(3, 4)
-    assert f.from_rank(r).rank == r
+    assert gf_rank(f, gf_coeffs(f, r)) == r
+    assert f.mul(r, 1) == r and f.add(r, 0) == r

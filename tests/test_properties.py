@@ -22,11 +22,19 @@ from hypersens.properties import (
     IsolatedVertexProperty,
     RubinsteinProperty,
     as_bits,
+    input_bits,
     property_from_json,
     rotate_left,
 )
 from hypersens.rng import SplitMix64
-from hypersens.sensitivity import evaluate_batch
+from hypersens.sensitivity import (
+    block_sensitivity_exact,
+    certify_blocks,
+    enumerate_sensitive_tuples,
+    evaluate_batch,
+    minimal_sensitive_blocks,
+    sensitivity_at,
+)
 from hypersens.witnesses import build_s1_witness, clique_packing, triangle_packing
 
 
@@ -364,6 +372,7 @@ def test_property_json_round_trip():
         IsolatedVertexProperty(6),
         IsolatedTriangleProperty(7),
         IsolatedCliqueProperty(8, 3, 2, 4),
+        IsolatedCliqueProperty(7, 2, 2, 3, allow_i_equal_k=True),
     ]
     for p in props:
         q = property_from_json(p.spec_json())
@@ -434,9 +443,27 @@ def test_allow_i_equal_k_must_be_a_json_boolean():
 
 
 def test_as_bits_coercions():
-    G = Hypergraph.from_edges(4, 2, [(0, 1)])
-    assert as_bits(G, 6) == 1
     assert as_bits("100000", 6) == 1
     assert as_bits([1, 0, 0, 0, 0, 0], 6) == 1
-    with pytest.raises(LengthMismatch):
-        as_bits(G, 10)
+
+
+def test_sensitivity_entry_points_check_hypergraph_shape():
+    """A Hypergraph input goes through graph_bits, so one on the wrong
+    (v, k) is rejected even when its slot count matches n."""
+    G = Hypergraph.from_edges(4, 2, [(0, 1)])
+    assert input_bits(IsolatedVertexProperty(4), G) == 1
+    with pytest.raises(BadParameter):
+        input_bits(IsolatedVertexProperty(4), Hypergraph.from_edges(4, 3, [(0, 1, 2)]))
+    vertex, wrong = IsolatedVertexProperty(5), Hypergraph.empty(5, 3)
+    assert wrong.num_slots == vertex.n
+    for call in (
+        lambda: sensitivity_at(vertex, wrong),
+        lambda: minimal_sensitive_blocks(vertex, wrong, 1),
+        lambda: block_sensitivity_exact(vertex, wrong, 1),
+        lambda: certify_blocks(vertex, wrong, []),
+        lambda: enumerate_sensitive_tuples(
+            IsolatedCliqueProperty(6, 3, 1, 4), Hypergraph.empty(20, 1)
+        ),
+    ):
+        with pytest.raises(BadParameter):
+            call()
