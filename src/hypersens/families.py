@@ -17,7 +17,9 @@ coefficient-rank vector (f_1 low coefficients first, then f_2, ...), so a
 `limit` always yields the same deterministic prefix.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .errors import BadParameter, DOutOfRange, TargetTooLarge, UniverseTooLarge
 from .gf import Field, FieldPoly
@@ -98,15 +100,33 @@ def generate_family(
 
 def first_overlap(sets, bound: int) -> tuple[int, int, int] | None:
     """(a, b, |A & B|) for the first pair a < b of the sets, ordered by a
-    then b, that shares at least `bound` elements; None if no pair does.
-    The check is pairwise, O(len(sets)^2)."""
-    frozen = [frozenset(s) for s in sets]
-    for a, A in enumerate(frozen):
-        for b in range(a + 1, len(frozen)):
-            inter = len(A & frozen[b])
-            if inter >= bound:
-                return a, b, inter
-    return None
+    then b, that shares at least `bound` distinct elements; None if no pair
+    does.
+
+    An index maps each element to the earlier sets that hold it, so set b
+    meets only the sets it shares an element with.  The cost is linear in
+    the set sizes plus the shared elements summed over all pairs,
+    O(sum |S| + sum_{a<b} |A & B|), instead of one intersection for each
+    of the N(N-1)/2 pairs; pairs that share nothing cost nothing.
+    """
+    if bound <= 0:
+        # every pair qualifies, including pairs that share nothing
+        if len(sets) < 2:
+            return None
+        return 0, 1, len(set(sets[0]) & set(sets[1]))
+    holders: dict[int, list[int]] = {}
+    best = None
+    for b, B in enumerate(sets):
+        members = set(B)
+        shared = Counter(chain.from_iterable(holders.get(e, ()) for e in members))
+        hits = [a for a, count in shared.items() if count >= bound]
+        if hits:
+            a = min(hits)
+            if best is None or a < best[0]:
+                best = (a, b, shared[a])
+        for e in members:
+            holders.setdefault(e, []).append(b)
+    return best
 
 
 def verify_family(fam: SetFamily) -> FamilyCheck:

@@ -85,6 +85,24 @@ def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
     return out
 
 
+def bits_of_ranks(ranks) -> int:
+    """The bitset whose set bits are exactly `ranks` (repeats are harmless).
+
+    Bits are set in a bytearray and converted once, so the cost is linear
+    in the ranks plus the width; OR-ing one big int per rank would copy the
+    whole bitset each time.
+    """
+    ranks = list(ranks)
+    if not ranks:
+        return 0
+    if min(ranks) < 0:
+        raise EdgeOutOfRange(f"negative edge id {min(ranks)}")
+    buf = bytearray((max(ranks) >> 3) + 1)
+    for r in ranks:
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
+
+
 def rank_lookup(v: int, k: int):
     """Callable mapping a sorted k-tuple to its rank, table-backed if small."""
     if math.comb(v, k) <= _TABLE_LIMIT:
@@ -124,15 +142,15 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, v: int, k: int, edges) -> "Hypergraph":
-        bits = 0
+        ranks = []
         for e in edges:
             e = tuple(sorted(e))
             if len(e) != k:
                 raise WrongArity(f"edge {e} is not a {k}-subset")
             if e[-1] >= v:
                 raise VertexOutOfRange(f"edge {e} has a vertex >= {v}")
-            bits |= 1 << rank_subset(e, k)
-        return cls(v, k, bits)
+            ranks.append(rank_subset(e, k))
+        return cls(v, k, bits_of_ranks(ranks))
 
     def edges(self):
         """Present edges as sorted vertex tuples, in colex-rank order."""
@@ -159,9 +177,9 @@ class Hypergraph:
         if sorted(sigma) != list(range(self.v)):
             raise VertexOutOfRange("sigma is not a permutation of the vertices")
         rank_of = rank_lookup(self.v, self.k)
-        bits = 0
-        for e in self.edges():
-            bits |= 1 << rank_of(tuple(sorted(sigma[u] for u in e)))
+        bits = bits_of_ranks(
+            rank_of(tuple(sorted(sigma[u] for u in e))) for e in self.edges()
+        )
         return Hypergraph(self.v, self.k, bits)
 
     def degrees(self) -> list[int]:

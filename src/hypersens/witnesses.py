@@ -28,7 +28,7 @@ from .errors import (
 )
 from .families import SetFamily, first_overlap, generate_family, trim_sets
 from .gf import make_field, prime_power, prime_power_in_range
-from .hypergraphs import Hypergraph, boundary_count, rank_subset
+from .hypergraphs import Hypergraph, bits_of_ranks, boundary_count, rank_subset
 from .properties import IsolatedCliqueProperty
 
 
@@ -151,23 +151,19 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
         raise IntersectionTooLarge(
             f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
         )
-    bits = 0
+    ranks = []
     for s in vertex_sets:
         inside = sorted(combinations(s, k))
         removed = inside[-1]
-        for sub in inside:
-            if sub != removed:
-                bits |= 1 << rank_subset(sub, k)
-    return Hypergraph(v, k, bits), len(vertex_sets)
+        ranks.extend(rank_subset(sub, k) for sub in inside if sub != removed)
+    return Hypergraph(v, k, bits_of_ranks(ranks)), len(vertex_sets)
 
 
 def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:
     """Single complete k-uniform clique on vertices {0..h-1}, nothing else."""
     if h > v:
         raise HTooLarge(f"clique size {h} exceeds v = {v}")
-    bits = 0
-    for sub in combinations(range(h), k):
-        bits |= 1 << rank_subset(sub, k)
+    bits = bits_of_ranks(rank_subset(sub, k) for sub in combinations(range(h), k))
     return Hypergraph(v, k, bits)
 
 
@@ -191,9 +187,7 @@ def build_isolated_vertex_witness(v: int) -> Hypergraph:
     edges at the isolated vertex are sensitive."""
     if v < 4:
         raise TooSmall("need v >= 4")
-    bits = 0
-    for sub in combinations(range(v - 1), 2):
-        bits |= 1 << rank_subset(sub, 2)
+    bits = bits_of_ranks(rank_subset(sub, 2) for sub in combinations(range(v - 1), 2))
     return Hypergraph(v, 2, bits)
 
 

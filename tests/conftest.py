@@ -201,6 +201,27 @@ def removed_edge_of(member, k):
     return rank_subset(inside[-1], k)
 
 
+def pairwise_first_overlap(sets, bound):
+    """Reference for `families.first_overlap`: intersect every pair a < b,
+    ordered by a then b, and return the first (a, b, |A & B|) with at least
+    `bound` shared elements, or None."""
+    frozen = [frozenset(s) for s in sets]
+    for a, A in enumerate(frozen):
+        for b in range(a + 1, len(frozen)):
+            inter = len(A & frozen[b])
+            if inter >= bound:
+                return a, b, inter
+    return None
+
+
+def or_ranks_oracle(ranks):
+    """Reference for `hypergraphs.bits_of_ranks`: one big-int OR per rank."""
+    bits = 0
+    for r in ranks:
+        bits |= 1 << r
+    return bits
+
+
 # --- GF(q) polynomial oracle -------------------------------------------------
 
 

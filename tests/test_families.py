@@ -8,6 +8,9 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from conftest import pairwise_first_overlap
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypersens.errors import (
     BadParameter,
@@ -15,7 +18,13 @@ from hypersens.errors import (
     TargetTooLarge,
     UniverseTooLarge,
 )
-from hypersens.families import SetFamily, generate_family, trim_sets, verify_family
+from hypersens.families import (
+    SetFamily,
+    first_overlap,
+    generate_family,
+    trim_sets,
+    verify_family,
+)
 from hypersens.gf import make_field, prime_power
 
 
@@ -74,6 +83,51 @@ def test_verify_flags_duplicates_and_sizes():
     short = replace(fam, sets=(fam.sets[0][:2],) + fam.sets[1:])
     check = verify_family(short)
     assert not check.ok and "size" in check.violation
+
+
+def test_verify_names_the_first_pair_by_a_then_b():
+    # #1/#2 is the first offending pair met when scanning by the later set,
+    # but #0/#3 comes first in (a, b) order
+    fam = SetFamily(
+        q=4,
+        d=1,
+        ell=1,
+        universe=16,
+        sets=((1, 2, 3), (4, 5, 6), (4, 7, 8), (1, 9, 10)),
+        set_size=3,
+    )
+    check = verify_family(fam)
+    assert not check.ok
+    assert check.violation == "sets #0 and #3 intersect in 1 >= d = 1"
+
+
+_SETS = st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=12)
+
+
+@given(sets=_SETS, bound=st.integers(-1, 6))
+@example(sets=[], bound=0)
+@example(sets=[], bound=1)
+@example(sets=[[1, 2, 3]], bound=0)
+@example(sets=[[1, 2, 3]], bound=1)
+@example(sets=[[1, 2], [3, 4], [5, 6]], bound=0)  # disjoint: only bound <= 0 hits
+@example(sets=[[1, 2], [3, 4], [5, 6]], bound=1)
+@example(sets=[[1, 2, 3], [4, 5, 6], [1, 2, 3]], bound=3)  # duplicate sets
+@example(sets=[[1, 2, 3], [4, 5, 6], [1, 2, 3]], bound=4)
+@example(sets=[[1, 1, 2], [1, 2, 2]], bound=2)  # repeats count once
+@example(sets=[[0, 1, 2], [3, 4, 5], [3, 6, 7], [0, 8, 9]], bound=1)
+def test_first_overlap_matches_pairwise_oracle(sets, bound):
+    assert first_overlap(sets, bound) == pairwise_first_overlap(sets, bound)
+
+
+def test_first_overlap_matches_oracle_on_generated_families():
+    field = make_field(5, 1)
+    for d in (1, 2, 3):
+        fam = generate_family(field, d, 1, limit=60)
+        for sets in (fam.sets, trim_sets(fam, 3).sets, fam.sets + fam.sets[:1]):
+            for bound in range(0, 7):
+                assert first_overlap(sets, bound) == pairwise_first_overlap(
+                    sets, bound
+                )
 
 
 def test_verify_flags_count_overflow():

@@ -4,6 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
+from conftest import or_ranks_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from hypersens.errors import (
 )
 from hypersens.hypergraphs import (
     Hypergraph,
+    bits_of_ranks,
     boundary_count,
     is_clique,
     is_isolated,
@@ -79,6 +81,20 @@ def test_flip_block():
     assert G.flip_block([]) == G
     assert G.flip_block(range(6)) == Hypergraph.complete(4, 2)
     assert G.flip_block([0, 0, 1]) == G.flip_block([0, 1])  # ids applied once
+
+
+@given(st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
+def test_bits_of_ranks_matches_or_oracle(ranks):
+    assert bits_of_ranks(ranks) == or_ranks_oracle(ranks)
+
+
+def test_bits_of_ranks_cases():
+    big = 1 << 18
+    for ranks in ([], [0], [7, 8], [9, 3, 3, 0], [5, 5, 5], [big, 3, big + 9, big]):
+        assert bits_of_ranks(ranks) == or_ranks_oracle(ranks)
+    assert bits_of_ranks(iter([300_000, 2])) == (1 << 300_000) | 4
+    with pytest.raises(EdgeOutOfRange):
+        bits_of_ranks([3, -1])
 
 
 def test_is_clique():

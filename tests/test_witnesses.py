@@ -1,5 +1,6 @@
 """Packings and witness constructions."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -168,6 +169,13 @@ class TestS0Witness:
         # the first offending pair a < b, by a and then b, is named
         with pytest.raises(IntersectionTooLarge, match="sets #0 and #2 share 1 "):
             build_s0_witness([(0, 1, 2), (3, 4, 5), (2, 6, 7), (1, 3, 8)], 9, 2, 1, 3)
+        # #1/#2 is met first when scanning by the later set; #0/#3 comes
+        # first by a and then b
+        with pytest.raises(IntersectionTooLarge, match="sets #0 and #3 share 1 "):
+            build_s0_witness([(0, 1, 2), (3, 4, 5), (3, 6, 7), (0, 8, 9)], 10, 2, 1, 3)
+        # with i = 0 even disjoint sets share too much
+        with pytest.raises(IntersectionTooLarge, match="#0 and #1 share 0 >= i = 0"):
+            build_s0_witness([(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9, 2, 0, 3)
         with pytest.raises(SetOutOfRange):
             build_s0_witness([(0, 1, 9)], 6, 2, 1, 3)
         with pytest.raises(BadParameter):
@@ -271,7 +279,9 @@ _FAMILY_TUPLES = json.loads(
 )
 
 
-@pytest.mark.parametrize("call", sorted(_FAMILY_TUPLES))
+@pytest.mark.parametrize(
+    "call", sorted(c for c, want in _FAMILY_TUPLES.items() if isinstance(want, list))
+)
 def test_family_witness_tuples_are_golden(call):
     """Every sensitive tuple (vertices, edge, direction) of the prefix family
     witnesses that the family_route benchmark certifies, pinned in full."""
@@ -281,6 +291,19 @@ def test_family_witness_tuples_are_golden(call):
     got = [[list(t.vertices), t.edge, t.direction] for t in tuples]
     assert got == _FAMILY_TUPLES[call]
     assert len(tuples) == count
+
+
+def test_full_family_witness_is_golden():
+    """The whole v = 300, k = 3 family witness, pinned by a digest of its
+    bitset (little-endian, C(300, 3) bits rounded up to bytes)."""
+    G, count, prop = build_family_witness(300, 3)
+    blob = G.bits.to_bytes((G.num_slots + 7) // 8, "little")
+    got = {
+        "sets": count,
+        "edge_count": G.edge_count,
+        "sha256": hashlib.sha256(blob).hexdigest(),
+    }
+    assert got == _FAMILY_TUPLES["build_family_witness(300, 3)"]
 
 
 def test_witness_json_metadata():
