@@ -21,8 +21,6 @@ from .gf import (
 from .hypergraphs import (
     Hypergraph,
     boundary_count,
-    is_clique,
-    is_isolated,
     rank_subset,
     unrank_subset,
 )

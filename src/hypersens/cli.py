@@ -205,6 +205,8 @@ def cmd_witness(args):
 
 
 def cmd_scan(args):
+    if args.v_step == 0:
+        raise BadParameter("--v-step must not be 0")
     v_values = range(args.v_start, args.v_end + 1, args.v_step)
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     result = run_scan(

@@ -51,10 +51,6 @@ class EdgeOutOfRange(DomainError):
     pass
 
 
-class TooFewVertices(DomainError):
-    pass
-
-
 class IOutOfRange(DomainError):
     pass
 

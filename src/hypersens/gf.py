@@ -202,8 +202,9 @@ def make_field(p: int, m: int) -> Field:
         raise DegreeOutOfRange(f"field order {p}^{m} exceeds {MAX_ORDER}")
     if m == 1:
         return Field(p, 1, ())
-    for idx in range(p**m):
-        # digits of idx, most significant first, are (c_0, ..., c_{m-1})
+    # digits of idx, most significant first, are (c_0, ..., c_{m-1}); a
+    # candidate with c_0 = 0 is divisible by x, so the search starts at c_0 = 1
+    for idx in range(p ** (m - 1), p**m):
         coeffs = [(idx // p ** (m - 1 - j)) % p for j in range(m)]
         poly = coeffs + [1]
         if _is_irreducible(poly, p):

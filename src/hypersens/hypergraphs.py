@@ -19,7 +19,6 @@ from .errors import (
     BadParameter,
     EdgeOutOfRange,
     IOutOfRange,
-    TooFewVertices,
     VertexOutOfRange,
     WrongArity,
 )
@@ -219,27 +218,6 @@ class Hypergraph:
                 "hypergraph JSON needs 'hex' or 'edges', a list of integer lists"
             )
         return cls.from_edges(v, k, [[u - 1 for u in e] for e in edges])
-
-
-def is_clique(G: Hypergraph, S) -> bool:
-    """True iff every k-subset of S is an edge of G."""
-    s = tuple(sorted(S))
-    if len(s) < G.k:
-        raise TooFewVertices(f"clique test needs at least {G.k} vertices")
-    rank_of = rank_lookup(G.v, G.k)
-    return all(G.bits >> rank_of(sub) & 1 for sub in combinations(s, G.k))
-
-
-def is_isolated(G: Hypergraph, S, i: int) -> bool:
-    """True iff every edge of G not inside S meets S in fewer than i vertices."""
-    if not 1 <= i <= G.k:
-        raise IOutOfRange(f"need 1 <= i <= k, got i={i}")
-    s = frozenset(S)
-    for e in G.edges():
-        inside = sum(1 for u in e if u in s)
-        if inside < G.k and inside >= i:
-            return False
-    return True
 
 
 def boundary_count(v: int, S, i: int, k: int) -> int:

@@ -36,7 +36,6 @@ colex rank i (see hypergraphs).
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -115,9 +114,9 @@ GRAPH_VARIANTS = VARIANTS[2:]
 
 
 class Property:
-    """Shared plumbing.  Subclasses set n, name and block_cap, implement
-    _find(bits) -- the witness at a 1-input, None at a 0-input -- and
-    define value over it in their own body, because perfbench/tracing.py
+    """Shared plumbing.  Subclasses set n, name and block_cap, inherit or
+    implement _find(bits) -- the witness at a 1-input, None at a 0-input --
+    and define value over it in their own body, because perfbench/tracing.py
     times value per class."""
 
     n: int
@@ -270,6 +269,13 @@ class GraphPropertyBase(Property):
     present edge meeting S in i..k-1 vertices.  A set without defects
     witnesses f = 1; at f = 0, a set with exactly one defect becomes a
     witness when that one edge is flipped, which makes it a sensitive tuple.
+
+    At i = 1 no present edge may even touch S without lying inside it, so
+    S has no defect iff every vertex w of S has degree d = C(h-1,k-1) and
+    closed neighbourhood N[w] = S (w and every vertex sharing an edge with
+    w): then the d edges at w are distinct k-subsets of S through w, all
+    C(h-1,k-1) of them.  Two such sets are therefore disjoint, and the
+    lexicographically first one is the one with the least vertex.
     """
 
     v: int
@@ -326,9 +332,43 @@ class GraphPropertyBase(Property):
                     break
         return out
 
+    def _degrees(self, edges) -> list[int]:
+        deg = [0] * self.v
+        for e in edges:
+            for u in e:
+                deg[u] += 1
+        return deg
+
+    def _find(self, bits: int):
+        """The lexicographically first h-set without a defect, or None."""
+        edges = self._edges(bits)
+        if self.i > 1:
+            for S in self._near_cliques(edges, 0):
+                if not self._defects(bits, edges, S, 0):
+                    return S
+            return None
+        # i = 1: the candidates are the closed neighbourhoods N[u] of the
+        # vertices of degree d, each tried only from its least vertex
+        d = math.comb(self.h - 1, self.k - 1)
+        deg = self._degrees(edges)
+        if d:
+            closed = {}
+            for e in edges:
+                for u in e:
+                    if deg[u] == d:
+                        closed.setdefault(u, {u}).update(e)
+        else:  # h = 1: a vertex of degree 0 is its own N[u]
+            closed = {u: {u} for u in range(self.v) if not deg[u]}
+        for u in sorted(closed):
+            N = closed[u]
+            if len(N) == self.h and min(N) == u and all(closed.get(w) == N for w in N):
+                return tuple(sorted(N))
+        return None
+
     def _near_cliques(self, edges, slack: int):
         """The h-sets, in lexicographic order, that may miss at most `slack`
-        (0 or 1) of their inside edges, as candidates for _defects.
+        (0 or 1) of their inside edges, as candidates for _defects: slack 0
+        for _find at i >= 2, slack 1 for enumerate_sensitive_tuples.
 
         Each vertex of such a set lies in C(h-1,k-1) inside edges, so its
         degree is at least C(h-1,k-1) - slack.  For h = k+1 and slack 1,
@@ -347,10 +387,7 @@ class GraphPropertyBase(Property):
                         cands.add(tuple(sorted(set(e) | set(other))))
                     by_sub[sub].append(e)
             return sorted(cands)
-        deg = [0] * v
-        for e in edges:
-            for u in e:
-                deg[u] += 1
+        deg = self._degrees(edges)
         min_deg = math.comb(h - 1, k - 1) - slack
         return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 
@@ -391,12 +428,6 @@ class IsolatedVertexProperty(GraphPropertyBase):
         self.h = 1
         self.n = math.comb(v, 2)
         self.block_cap = v - 1
-
-    def _find(self, bits: int):
-        touched = set()
-        for e in self._edges(bits):
-            touched.update(e)
-        return next(((u,) for u in range(self.v) if u not in touched), None)
 
     def value(self, x) -> int:
         return 0 if self._find(input_bits(self, x)) is None else 1
@@ -443,13 +474,6 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         h = max(k + 1, math.floor(v**t + 1e-9))
         return IsolatedCliqueProperty(v, k, i, h, allow_i_equal_k)
 
-    def _find(self, bits: int):
-        edges = self._edges(bits)
-        for S in self._near_cliques(edges, 0):
-            if not self._defects(bits, edges, S, 0):
-                return S
-        return None
-
     def value(self, x) -> int:
         return 0 if self._find(input_bits(self, x)) is None else 1
 
@@ -475,9 +499,8 @@ class IsolatedCliqueProperty(GraphPropertyBase):
 class IsolatedTriangleProperty(IsolatedCliqueProperty):
     """1 iff the graph has a triangle with no edges leaving it.
 
-    IsolatedCliqueProperty(v, k=2, i=1, h=3) with a dedicated _find,
-    because isolation at i=1 reduces to a degree check, which the scaling
-    sweeps lean on.
+    IsolatedCliqueProperty(v, k=2, i=1, h=3) under its own name, spec
+    and Steiner-triple-system packing.
     """
 
     name = "isolated-triangle"
@@ -486,25 +509,6 @@ class IsolatedTriangleProperty(IsolatedCliqueProperty):
         if v < 3:
             raise BadParameter("need v >= 3")
         super().__init__(v, 2, 1, 3)
-
-    def _find(self, bits: int):
-        edges = self._edges(bits)
-        deg = Counter()
-        adj = {}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        # an isolated triangle is exactly three mutually adjacent vertices
-        # of degree 2, and its least vertex determines it
-        for a in sorted(adj):
-            if deg[a] != 2:
-                continue
-            b, c = sorted(adj[a])
-            if deg[b] == 2 and deg[c] == 2 and c in adj[b]:
-                return tuple(sorted((a, b, c)))
-        return None
 
     def value(self, x) -> int:
         return 0 if self._find(input_bits(self, x)) is None else 1

@@ -81,6 +81,8 @@ def clique_packing(v: int, k: int) -> Packing:
     """Greedy-to-maximality edge-disjoint complete (k+1)-vertex k-uniform
     cliques, scanning (k+1)-subsets in lex order and rejecting any candidate
     that shares a k-subset with an accepted member."""
+    if k < 2:
+        raise BadParameter("need k >= 2")
     if v < k + 1:
         raise TooSmall(f"clique packing needs v >= k+1 = {k + 1}")
     used: set[tuple[int, ...]] = set()
@@ -160,7 +162,10 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
 
 
 def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:
-    """Single complete k-uniform clique on vertices {0..h-1}, nothing else."""
+    """Single complete k-uniform clique on vertices {0..h-1}, nothing else,
+    the 1-side witness of the isolated h-clique property at level i."""
+    if h < k + 1 or not 1 <= i <= k:
+        raise BadParameter(f"need h >= k+1 and 1 <= i <= k, got h={h}, i={i}, k={k}")
     if h > v:
         raise HTooLarge(f"clique size {h} exceeds v = {v}")
     bits = bits_of_ranks(rank_subset(sub, k) for sub in combinations(range(h), k))

@@ -54,24 +54,23 @@ def table_property(table, n):
 # --- independent oracles ---------------------------------------------------
 
 
-def naive_isolated_clique_value(v, k, i, h, bits):
-    """Unpruned reference evaluator: try every h-subset, check the full
-    clique condition and the isolation condition against every edge."""
+def naive_isolated_clique_witness(v, k, i, h, bits):
+    """Unpruned reference finder: the lexicographically first h-subset
+    whose inside edges are all present and which no present edge meets in
+    i..k-1 vertices, checked against every edge; None if there is none."""
     subs, ranks = subset_table(v, k)
     edges = [subs[e] for e in range(len(subs)) if bits >> e & 1]
     for S in combinations(range(v), h):
         inside = set(S)
         if not all(bits >> ranks[sub] & 1 for sub in combinations(S, k)):
             continue
-        ok = True
-        for e in edges:
-            c = len(inside.intersection(e))
-            if i <= c < k:
-                ok = False
-                break
-        if ok:
-            return 1
-    return 0
+        if all(not i <= len(inside.intersection(e)) < k for e in edges):
+            return S
+    return None
+
+
+def naive_isolated_clique_value(v, k, i, h, bits):
+    return int(naive_isolated_clique_witness(v, k, i, h, bits) is not None)
 
 
 def sensitive_tuples_oracle(v, k, i, h, bits):

@@ -326,3 +326,20 @@ def test_bsens_max_block_size_zero_is_domain_error(capsys):
         )
         assert code == 1 and out == ""
         assert "max_block_size" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "scan --property isolated-triangle --v-start 9 --v-end 15 --v-step 0",
+        "witness --construction single-clique --v 5 --k 2 --i 1 --h -1",
+        "witness --construction single-clique --v 5 --k 2 --i 1 --h 2",
+        "witness --construction single-clique --v 5 --k 2 --i 9 --h 3",
+        "witness --construction clique-packing --v 5 --k -1",
+        "witness --construction clique-packing --v 5 --k 0",
+    ],
+)
+def test_out_of_range_parameters_are_domain_errors(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")

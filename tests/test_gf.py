@@ -1,6 +1,8 @@
 """Finite-field construction and arithmetic."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -32,6 +34,20 @@ def all_prime_powers(limit):
 def test_prime_field_has_empty_modulus():
     f = make_field(5, 1)
     assert f.order == 5 and f.modulus == ()
+
+
+_MODULI = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "field_moduli.json").read_text()
+)
+
+
+def test_every_extension_modulus_is_golden():
+    """The modulus of every GF(p^m), m >= 2, q <= MAX_ORDER: 78 fields."""
+    got = {}
+    for p, m in all_prime_powers(MAX_ORDER):
+        if m >= 2:
+            got[f"GF({p}^{m})"] = list(make_field(p, m).modulus)
+    assert got == _MODULI
 
 
 def test_gf4_modulus_is_x2_plus_x_plus_1():

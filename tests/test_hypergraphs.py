@@ -1,4 +1,4 @@
-"""Bitset hypergraphs, colex ranking, clique and isolation predicates."""
+"""Bitset hypergraphs, colex ranking and boundary counts."""
 
 import math
 from itertools import combinations
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypersens.errors import (
     EdgeOutOfRange,
     IOutOfRange,
-    TooFewVertices,
     VertexOutOfRange,
     WrongArity,
 )
@@ -19,8 +18,6 @@ from hypersens.hypergraphs import (
     Hypergraph,
     bits_of_ranks,
     boundary_count,
-    is_clique,
-    is_isolated,
     rank_subset,
     subset_table,
     unrank_subset,
@@ -95,43 +92,6 @@ def test_bits_of_ranks_cases():
     assert bits_of_ranks(iter([300_000, 2])) == (1 << 300_000) | 4
     with pytest.raises(EdgeOutOfRange):
         bits_of_ranks([3, -1])
-
-
-def test_is_clique():
-    assert is_clique(Hypergraph.complete(5, 2), (1, 2, 4))
-    assert not is_clique(Hypergraph.empty(5, 2), (0, 1, 2))
-    tri = Hypergraph.from_edges(4, 2, [(0, 1), (0, 2), (1, 2)])
-    assert is_clique(tri, (0, 1, 2))
-    assert not is_clique(tri, (0, 1, 3))
-    with pytest.raises(TooFewVertices):
-        is_clique(Hypergraph.complete(5, 3), (0, 1))
-
-
-def test_is_isolated():
-    tri_plus = Hypergraph.from_edges(4, 2, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert not is_isolated(tri_plus, (0, 1, 2), 1)
-    tri_only = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (1, 2)])
-    assert is_isolated(tri_only, (0, 1, 2), 1)
-    far = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    assert is_isolated(far, (0, 1, 2), 1)
-    # k = 3: one edge grabbing two tuple vertices violates i = 2, not i = 3
-    H = Hypergraph.from_edges(7, 3, [(0, 1, 5)])
-    assert not is_isolated(H, (0, 1, 2, 3), 2)
-    assert is_isolated(H, (0, 1, 2, 3), 3)
-    single = Hypergraph.from_edges(7, 3, [(0, 5, 6)])
-    assert is_isolated(single, (0, 1, 2, 3), 2)
-    with pytest.raises(IOutOfRange):
-        is_isolated(H, (0, 1, 2, 3), 0)
-
-
-def test_is_isolated_monotone_in_i():
-    rng = SplitMix64(11)
-    for _ in range(50):
-        G = Hypergraph(7, 3, rng.bits(math.comb(7, 3)))
-        S = (0, 2, 4, 6)
-        vals = [is_isolated(G, S, i) for i in range(1, 4)]
-        for lo, hi in zip(vals, vals[1:]):
-            assert hi or not lo
 
 
 def test_boundary_count_examples_and_brute_force():

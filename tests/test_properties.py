@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import naive_isolated_clique_value
+from conftest import naive_isolated_clique_value, naive_isolated_clique_witness
 
 from hypersens.errors import (
     BadLength,
@@ -14,7 +14,7 @@ from hypersens.errors import (
     LengthMismatch,
     OddK,
 )
-from hypersens.hypergraphs import Hypergraph, is_clique, is_isolated
+from hypersens.hypergraphs import Hypergraph, rank_subset
 from hypersens.properties import (
     CyclicRubinsteinProperty,
     IsolatedCliqueProperty,
@@ -35,7 +35,7 @@ from hypersens.sensitivity import (
     minimal_sensitive_blocks,
     sensitivity_at,
 )
-from hypersens.witnesses import build_s1_witness, clique_packing, triangle_packing
+from hypersens.witnesses import clique_packing, triangle_packing
 
 
 def verify_rubinstein_witness(k, x, witness):
@@ -161,8 +161,7 @@ class TestIsolatedClique:
             G = Hypergraph.from_edges(8, 3, edges)
             res = spec.explain(G)
             assert res.value == 1
-            assert is_clique(G, res.witness)
-            assert is_isolated(G, res.witness, spec.i)
+            assert res.witness == naive_isolated_clique_witness(8, 3, 1, 4, G.bits)
 
     def test_matches_naive_evaluator_on_random_graphs(self):
         rng = SplitMix64(17)
@@ -242,6 +241,72 @@ class TestIsomorphismInvariance:
 def _spec_id(prop):
     spec = prop.spec_json()
     return "-".join([spec.pop("variant")] + [f"{k}{v}" for k, v in spec.items()])
+
+
+def _oracle_inputs(prop, rng):
+    """The empty and complete inputs, the cycle for graphs, and per round
+    random inputs at three densities, disjoint planted h-cliques with noise
+    on the other vertices, and the plant with one defect: a missing inside
+    edge, or an edge meeting the first copy in i vertices."""
+    v, k, i, h = prop.v, prop.k, prop.i, prop.h
+    inputs = [0, (1 << prop.n) - 1]
+    if k == 2:
+        cycle = [(u, (u + 1) % v) for u in range(v)]
+        inputs.append(Hypergraph.from_edges(v, 2, cycle).bits)
+    for _ in range(40):
+        x = rng.bits(prop.n)
+        inputs += [x, x & rng.bits(prop.n), x & rng.bits(prop.n) & rng.bits(prop.n)]
+        sigma = rng.permutation(v)
+        copies = rng.below(v // h + 1)
+        planted = [sorted(sigma[j * h : (j + 1) * h]) for j in range(copies)]
+        rest = sorted(sigma[copies * h :])
+        edges = [e for S in planted for e in combinations(S, k)]
+        edges += [e for e in combinations(rest, k) if rng.below(2)]
+        x = Hypergraph.from_edges(v, k, edges).bits
+        inputs.append(x)
+        if not planted:
+            continue
+        S = planted[0]
+        inside = list(combinations(S, k))
+        if inside:
+            inputs.append(x ^ 1 << rank_subset(inside[rng.below(len(inside))], k))
+        outside = [u for u in sigma if u not in S]
+        inputs.append(x | 1 << rank_subset(S[:i] + outside[: k - i], k))
+    return inputs
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        IsolatedVertexProperty(6),
+        IsolatedVertexProperty(9),
+        IsolatedTriangleProperty(6),
+        IsolatedTriangleProperty(9),
+        IsolatedCliqueProperty(8, 2, 1, 3),
+        IsolatedCliqueProperty(8, 2, 1, 4),
+        IsolatedCliqueProperty(8, 3, 1, 4),
+        IsolatedCliqueProperty(9, 3, 1, 5),
+        IsolatedCliqueProperty(8, 3, 2, 4),
+        IsolatedCliqueProperty(9, 3, 2, 5),
+    ],
+    ids=_spec_id,
+)
+def test_witness_is_the_lexicographic_first_defect_free_set(prop):
+    rng = SplitMix64(97)
+    ones = 0
+    for x in _oracle_inputs(prop, rng):
+        expected = naive_isolated_clique_witness(prop.v, prop.k, prop.i, prop.h, x)
+        assert prop.explain(x).witness == expected
+        ones += expected is not None
+    assert ones
+
+
+def test_generic_clique_on_the_250_cycle():
+    # no triangle, yet every vertex has the degree 2 of a triangle vertex,
+    # so a degree filter alone keeps all 250 vertices as candidates
+    v = 250
+    cycle = Hypergraph.from_edges(v, 2, [(u, (u + 1) % v) for u in range(v)])
+    assert IsolatedCliqueProperty(v, 2, 1, 3).value(cycle) == 0
 
 
 class TestBatchEvaluator:
@@ -343,7 +408,9 @@ class TestWitnessTerm:
         # want: the edges inside S
         edges = list(combinations(range(prop.v), prop.k))
         rank = {e: Hypergraph.from_edges(prop.v, prop.k, [e]).bits for e in edges}
-        planted = build_s1_witness(prop.v, prop.k, prop.i, prop.h)
+        # the h-clique on the lowest vertices (h = 1: the empty graph)
+        inside = combinations(range(prop.h), prop.k)
+        planted = Hypergraph.from_edges(prop.v, prop.k, inside)
         rng = SplitMix64(73)
         ones = 0
         for j in range(200):

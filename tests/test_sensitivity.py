@@ -94,7 +94,8 @@ def _planted_graph_inputs(f, seed, count=12):
             G = build_isolated_vertex_witness(v)
             planted = [v - 1]
         else:
-            G = build_s1_witness(v, k, f.i, h)
+            # the h-clique on the lowest vertices (h = 1: the empty graph)
+            G = Hypergraph.from_edges(v, k, combinations(range(h), k))
             if trial % 3 == 2 and 2 * h <= v:
                 shift = [(u + h) % v for u in range(v)]
                 G = Hypergraph(v, k, G.bits | G.relabel(shift).bits)

@@ -90,6 +90,11 @@ class TestCliquePacking:
         with pytest.raises(TooSmall):
             clique_packing(3, 3)
 
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_k_below_2(self, k):
+        with pytest.raises(BadParameter):
+            clique_packing(5, k)
+
     def test_k2_v6_matches_exact_packing(self):
         packing = clique_packing(6, 2)
         exact = block_sensitivity_exact(IsolatedTriangleProperty(6), 0, 3).value
@@ -228,6 +233,13 @@ class TestS1Witness:
     def test_h_too_large(self):
         with pytest.raises(HTooLarge):
             build_s1_witness(4, 2, 1, 5)
+
+    @pytest.mark.parametrize(
+        "k,i,h", [(2, 1, -1), (2, 1, 2), (3, 1, 3), (2, 0, 3), (2, 3, 3), (3, 9, 4)]
+    )
+    def test_h_below_k_plus_1_or_i_outside_1_to_k(self, k, i, h):
+        with pytest.raises(BadParameter):
+            build_s1_witness(6, k, i, h)
 
 
 class TestIsolatedVertexWitness:
