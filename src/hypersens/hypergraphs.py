@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (
     BadParameter,
     EdgeOutOfRange,
@@ -33,6 +35,11 @@ def rank_subset(S, k: int | None = None) -> int:
         raise VertexOutOfRange(f"negative vertex in {S}")
     if k is not None and len(s) != k:
         raise WrongArity(f"expected a {k}-subset, got {len(s)} vertices")
+    return _colex_rank(s)
+
+
+def _colex_rank(s) -> int:
+    """The colex rank formula on a sorted vertex sequence, unchecked."""
     return sum(math.comb(a, j + 1) for j, a in enumerate(s))
 
 
@@ -69,34 +76,54 @@ _TABLE_LIMIT = 1 << 18
 
 def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
     """Present edges of a bitset as sorted vertex tuples, ascending rank."""
-    out = []
+    ranks = ranks_of_bits(bits)
     if math.comb(v, k) <= _TABLE_LIMIT:
         subs = subset_table(v, k)[0]
+        return [subs[r] for r in ranks]
+    return [unrank_subset(r, v, k) for r in ranks]
+
+
+# the codec below handles a bitset one bit at a time while its set bits
+# times its width stay within this work: each step then copies the whole
+# int, which on narrow ints is still cheaper than the fixed cost of one
+# pass through a byte buffer
+_BIT_LOOP_WORK = 1 << 18
+
+
+def ranks_of_bits(bits: int) -> list[int]:
+    """The ascending positions of the set bits, the inverse of bits_of_ranks,
+    in time linear in the width plus the set bits (see _BIT_LOOP_WORK)."""
+    if bits < 0:
+        raise EdgeOutOfRange("a bitset must not be negative")
+    if bits.bit_count() * bits.bit_length() <= _BIT_LOOP_WORK:
+        out = []
         while bits:
             low = bits & -bits
-            out.append(subs[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             bits ^= low
-    else:
-        while bits:
-            low = bits & -bits
-            out.append(unrank_subset(low.bit_length() - 1, v, k))
-            bits ^= low
-    return out
+        return out
+    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
+    buf = np.frombuffer(data, np.uint8)
+    nonzero = np.flatnonzero(buf)
+    byte, bit = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
+    return (nonzero[byte] * 8 + bit).tolist()
 
 
 def bits_of_ranks(ranks) -> int:
-    """The bitset whose set bits are exactly `ranks` (repeats are harmless).
-
-    Bits are set in a bytearray and converted once, so the cost is linear
-    in the ranks plus the width; OR-ing one big int per rank would copy the
-    whole bitset each time.
-    """
+    """The bitset whose set bits are exactly `ranks` (repeats are harmless),
+    in time linear in the ranks plus the width (see _BIT_LOOP_WORK)."""
     ranks = list(ranks)
     if not ranks:
         return 0
     if min(ranks) < 0:
         raise EdgeOutOfRange(f"negative edge id {min(ranks)}")
-    buf = bytearray((max(ranks) >> 3) + 1)
+    width = max(ranks) + 1
+    if len(ranks) * width <= _BIT_LOOP_WORK:
+        bits = 0
+        for r in ranks:
+            bits |= 1 << r
+        return bits
+    buf = bytearray((width + 7) >> 3)
     for r in ranks:
         buf[r >> 3] |= 1 << (r & 7)
     return int.from_bytes(buf, "little")
@@ -106,7 +133,7 @@ def rank_lookup(v: int, k: int):
     """Callable mapping a sorted k-tuple to its rank, table-backed if small."""
     if math.comb(v, k) <= _TABLE_LIMIT:
         return subset_table(v, k)[1].__getitem__
-    return lambda s: sum(math.comb(a, j + 1) for j, a in enumerate(s))
+    return _colex_rank
 
 
 @dataclass(frozen=True)
@@ -155,21 +182,17 @@ class Hypergraph:
         """Present edges as sorted vertex tuples, in colex-rank order."""
         return iter(edges_of_bits(self.v, self.k, self.bits))
 
-    def has_edge(self, S) -> bool:
-        return bool(self.bits >> rank_subset(S, self.k) & 1)
-
     def flip_edge(self, e: int) -> "Hypergraph":
         if not 0 <= e < self.num_slots:
             raise EdgeOutOfRange(f"edge id {e} outside [0, {self.num_slots})")
         return Hypergraph(self.v, self.k, self.bits ^ (1 << e))
 
     def flip_block(self, block) -> "Hypergraph":
-        mask = 0
-        for e in set(block):
+        block = list(block)
+        for e in block:
             if not 0 <= e < self.num_slots:
                 raise EdgeOutOfRange(f"edge id {e} outside [0, {self.num_slots})")
-            mask |= 1 << e
-        return Hypergraph(self.v, self.k, self.bits ^ mask)
+        return Hypergraph(self.v, self.k, self.bits ^ bits_of_ranks(block))
 
     def relabel(self, sigma) -> "Hypergraph":
         """Apply the vertex permutation sigma (old -> new) to every edge."""
@@ -180,13 +203,6 @@ class Hypergraph:
             rank_of(tuple(sorted(sigma[u] for u in e))) for e in self.edges()
         )
         return Hypergraph(self.v, self.k, bits)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.v
-        for e in self.edges():
-            for u in e:
-                deg[u] += 1
-        return deg
 
     def to_json(self, compact: bool = False) -> dict:
         if compact:
@@ -218,6 +234,15 @@ class Hypergraph:
                 "hypergraph JSON needs 'hex' or 'edges', a list of integer lists"
             )
         return cls.from_edges(v, k, [[u - 1 for u in e] for e in edges])
+
+
+def degrees(v: int, edges) -> list[int]:
+    """How many of the edges hold each of the vertices 0..v-1."""
+    deg = [0] * v
+    for e in edges:
+        for u in e:
+            deg[u] += 1
+    return deg
 
 
 def boundary_count(v: int, S, i: int, k: int) -> int:

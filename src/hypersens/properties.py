@@ -47,7 +47,14 @@ from .errors import (
     OddK,
     WrongArity,
 )
-from .hypergraphs import Hypergraph, boundary_count, edges_of_bits, rank_lookup
+from .hypergraphs import (
+    Hypergraph,
+    bits_of_ranks,
+    boundary_count,
+    degrees,
+    edges_of_bits,
+    rank_lookup,
+)
 
 
 @dataclass(frozen=True)
@@ -80,25 +87,21 @@ def as_bits(x, n: int) -> int:
             raise BadLength(f"input string has length {len(x)}, need {n}")
         if set(x) - {"0", "1"}:
             raise BadLength("input string must consist of 0s and 1s")
-        return sum(1 << i for i, c in enumerate(x) if c == "1")
-    if isinstance(x, int):
+        x = [c == "1" for c in x]
+    elif isinstance(x, int):
         if x < 0 or x >> n:
             raise LengthMismatch(f"bitmask does not fit in {n} bits")
         return x
     bits = list(x)
     if len(bits) != n:
         raise BadLength(f"input has length {len(bits)}, need {n}")
-    return sum(1 << i for i, b in enumerate(bits) if b)
+    return bits_of_ranks(i for i, b in enumerate(bits) if b)
 
 
 def input_bits(f, x) -> int:
     """f's input x as a bitmask: a Hypergraph goes through f.graph_bits,
     which checks its (v, k), anything else through as_bits."""
     return f.graph_bits(x) if isinstance(x, Hypergraph) else as_bits(x, f.n)
-
-
-def bits_to_string(x: int, n: int) -> str:
-    return "".join("1" if x >> i & 1 else "0" for i in range(n))
 
 
 # the spec "variant" of every property; the graph properties, which take a
@@ -168,7 +171,7 @@ class Property:
         raise NotImplementedError
 
     def input_json(self, bits: int):
-        return bits_to_string(bits, self.n)
+        return format(bits, f"0{self.n}b")[::-1]
 
     def graph_bits(self, G: Hypergraph) -> int:
         raise BadParameter("a hypergraph input needs a graph property")
@@ -225,7 +228,7 @@ class RubinsteinProperty(Property):
 
     def witness(self) -> int:
         # one 1 at in-block position 1 of every block: 2k sensitive bits
-        return sum(1 << (b * self.k + 1) for b in range(self.k))
+        return bits_of_ranks(b * self.k + 1 for b in range(self.k))
 
     def spec_json(self) -> dict:
         return {"variant": self.name, "rubinstein_k": self.k}
@@ -283,9 +286,6 @@ class GraphPropertyBase(Property):
     i: int
     h: int
 
-    def _edges(self, bits: int):
-        return edges_of_bits(self.v, self.k, bits)
-
     def graph(self, bits: int) -> Hypergraph:
         return Hypergraph(self.v, self.k, bits)
 
@@ -297,15 +297,13 @@ class GraphPropertyBase(Property):
         rank_of = rank_lookup(self.v, k)
         inside = set(S)
         outside = [u for u in range(self.v) if u not in inside]
-        care = 0
-        for j in range(self.i, k + 1):
-            for a in combinations(S, j):
-                for b in combinations(outside, k - j):
-                    care |= 1 << rank_of(tuple(sorted(a + b)))
-        want = 0
-        for e in combinations(S, k):
-            want |= 1 << rank_of(e)
-        return care, want
+        care = bits_of_ranks(
+            rank_of(tuple(sorted(a + b)))
+            for j in range(self.i, k + 1)
+            for a in combinations(S, j)
+            for b in combinations(outside, k - j)
+        )
+        return care, bits_of_ranks(map(rank_of, combinations(S, k)))
 
     def _make_patterns(self):
         return tuple(
@@ -332,16 +330,9 @@ class GraphPropertyBase(Property):
                     break
         return out
 
-    def _degrees(self, edges) -> list[int]:
-        deg = [0] * self.v
-        for e in edges:
-            for u in e:
-                deg[u] += 1
-        return deg
-
     def _find(self, bits: int):
         """The lexicographically first h-set without a defect, or None."""
-        edges = self._edges(bits)
+        edges = edges_of_bits(self.v, self.k, bits)
         if self.i > 1:
             for S in self._near_cliques(edges, 0):
                 if not self._defects(bits, edges, S, 0):
@@ -350,7 +341,7 @@ class GraphPropertyBase(Property):
         # i = 1: the candidates are the closed neighbourhoods N[u] of the
         # vertices of degree d, each tried only from its least vertex
         d = math.comb(self.h - 1, self.k - 1)
-        deg = self._degrees(edges)
+        deg = degrees(self.v, edges)
         if d:
             closed = {}
             for e in edges:
@@ -371,13 +362,13 @@ class GraphPropertyBase(Property):
         for _find at i >= 2, slack 1 for enumerate_sensitive_tuples.
 
         Each vertex of such a set lies in C(h-1,k-1) inside edges, so its
-        degree is at least C(h-1,k-1) - slack.  For h = k+1 and slack 1,
-        the set keeps at least k of its k+1 inside edges; any two of those
-        share k-1 vertices and unite to the set, so the unions of such edge
-        pairs are the candidates.
+        degree is at least C(h-1,k-1) - slack.  For h = k+1 the set keeps
+        at least k >= 2 of its k+1 inside edges; any two of those share k-1
+        vertices and unite to the set, so the unions of such edge pairs are
+        the candidates.
         """
         v, k, h = self.v, self.k, self.h
-        if h == k + 1 and slack:
+        if h == k + 1:
             by_sub: dict = {}
             cands = set()
             for e in edges:
@@ -387,7 +378,7 @@ class GraphPropertyBase(Property):
                         cands.add(tuple(sorted(set(e) | set(other))))
                     by_sub[sub].append(e)
             return sorted(cands)
-        deg = self._degrees(edges)
+        deg = degrees(v, edges)
         min_deg = math.comb(h - 1, k - 1) - slack
         return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 

@@ -53,7 +53,7 @@ from .errors import (
     TooLarge,
     ValueIsOne,
 )
-from .hypergraphs import edges_of_bits
+from .hypergraphs import bits_of_ranks, edges_of_bits, ranks_of_bits
 from .properties import input_bits
 from .rng import SplitMix64
 
@@ -161,7 +161,7 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
                 f"witness term of {f.name} does not match the input or has"
                 f" {care.bit_count()} care bits instead of {size}"
             )
-        positions = _ascending_bits(care)
+        positions = ranks_of_bits(care)
     sensitive = []
     for count, i in enumerate(positions):
         if count % 512 == 0:
@@ -175,13 +175,6 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
         s_at_x=len(sensitive),
         polarity="s1" if fx else "s0",
     )
-
-
-def _ascending_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
@@ -347,7 +340,7 @@ def minimal_sensitive_blocks(
         if level_held.all():
             break  # every larger mask contains a found block
         prev, held = masks, level_held
-    return sorted(tuple(i for i in range(n) if m >> i & 1) for m in found)
+    return sorted(tuple(ranks_of_bits(m)) for m in found)
 
 
 def _pack_blocks(blocks: list[int], deadline=None) -> tuple[int, list[int]]:
@@ -388,13 +381,7 @@ def block_sensitivity_exact(
     if len(blocks) > MAX_PACKING_BLOCKS:
         raise TooLarge(f"{len(blocks)} blocks exceeds the packing budget")
     blocks.sort(key=lambda b: (len(b), b))
-    masks = []
-    for b in blocks:
-        m = 0
-        for i in b:
-            m |= 1 << i
-        masks.append(m)
-    _, picked = _pack_blocks(masks, deadline)
+    _, picked = _pack_blocks([bits_of_ranks(b) for b in blocks], deadline)
     cert = certify_blocks(f, bits, [blocks[j] for j in picked])
     return BlockSensitivity(
         value=cert.count, certificate=cert, capped=max_block_size < f.n
@@ -408,9 +395,7 @@ def certify_blocks(f, x, blocks) -> BlockCertificate:
     used = 0
     norm = []
     for idx, b in enumerate(blocks):
-        mask = 0
-        for i in b:
-            mask |= 1 << i
+        mask = bits_of_ranks(b)
         if mask & used:
             raise OverlappingBlocks(f"block #{idx} overlaps an earlier block")
         used |= mask

@@ -203,7 +203,6 @@ class FamilyWitnessPlan:
     ell: int
     i: int
     h: int
-    t: float
 
 
 def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
@@ -232,9 +231,8 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
             raise ConstructionUnavailable(
                 f"v = {v} is too small: need v >= q^2 = {q * q}"
             )
-        return FamilyWitnessPlan(q=q, d=k // 2, ell=ell, i=k // 2, h=k + 1, t=0.0)
-    t = 1.0 / (k + 1)
-    vt = v**t
+        return FamilyWitnessPlan(q=q, d=k // 2, ell=ell, i=k // 2, h=k + 1)
+    vt = v ** (1.0 / (k + 1))
     d = (k + 1) // 2
     q = None
     for cand in range(math.floor(vt / 2) + 1, math.ceil(vt)):
@@ -248,7 +246,7 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
         raise ConstructionUnavailable(
             f"no usable prime power strictly inside ({vt / 2:.2f}, {vt:.2f})"
         )
-    return FamilyWitnessPlan(q=q, d=d, ell=k, i=d, h=k + 1, t=t)
+    return FamilyWitnessPlan(q=q, d=d, ell=k, i=d, h=k + 1)
 
 
 def build_family_witness(v: int, k: int, limit: int | None = None):

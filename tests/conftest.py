@@ -213,6 +213,17 @@ def pairwise_first_overlap(sets, bound):
     return None
 
 
+def ascending_bits_oracle(bits):
+    """Reference for `hypergraphs.ranks_of_bits`: peel off the lowest set
+    bit until none is left."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def or_ranks_oracle(ranks):
     """Reference for `hypergraphs.bits_of_ranks`: one big-int OR per rank."""
     bits = 0

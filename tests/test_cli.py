@@ -332,6 +332,7 @@ def test_bsens_max_block_size_zero_is_domain_error(capsys):
     "argv",
     [
         "scan --property isolated-triangle --v-start 9 --v-end 15 --v-step 0",
+        "scan --property isolated-triangle --v-start 12 --v-end 9 --v-step -1",
         "witness --construction single-clique --v 5 --k 2 --i 1 --h -1",
         "witness --construction single-clique --v 5 --k 2 --i 1 --h 2",
         "witness --construction single-clique --v 5 --k 2 --i 9 --h 3",

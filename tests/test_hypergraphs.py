@@ -4,7 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
-from conftest import or_ranks_oracle
+from conftest import ascending_bits_oracle, or_ranks_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,7 +18,10 @@ from hypersens.hypergraphs import (
     Hypergraph,
     bits_of_ranks,
     boundary_count,
+    degrees,
+    edges_of_bits,
     rank_subset,
+    ranks_of_bits,
     subset_table,
     unrank_subset,
 )
@@ -94,6 +97,38 @@ def test_bits_of_ranks_cases():
         bits_of_ranks([3, -1])
 
 
+# widths on both sides of the codec's one-bit loop, up to past 2^20 bits
+_codec_ranks = st.sampled_from([20, 1 << 12, (1 << 21) + 5]).flatmap(
+    lambda width: st.lists(st.integers(0, width), max_size=80)
+)
+
+
+@given(_codec_ranks)
+def test_ranks_of_bits_matches_oracle_and_round_trips(ranks):
+    bits = or_ranks_oracle(ranks)
+    assert ranks_of_bits(bits) == ascending_bits_oracle(bits)
+    assert bits_of_ranks(ranks_of_bits(bits)) == bits
+
+
+def test_ranks_of_bits_cases():
+    wide = (1 << 20) + 3
+    assert ranks_of_bits(0) == []
+    assert ranks_of_bits(1 << wide) == [wide]
+    # 512 set bits of width 512 is the most work the codec does bit by bit
+    for width in (1, 512, 513, wide):
+        assert ranks_of_bits((1 << width) - 1) == list(range(width))
+    with pytest.raises(EdgeOutOfRange):
+        ranks_of_bits(-1)
+
+
+@given(st.lists(st.integers(0, math.comb(120, 3) - 1), max_size=60))
+def test_edges_of_bits_unranks_each_rank_past_the_table(ranks):
+    v, k = 120, 3  # C(120, 3) = 280,840 slots, too many for subset_table
+    assert edges_of_bits(v, k, bits_of_ranks(ranks)) == [
+        unrank_subset(r, v, k) for r in sorted(set(ranks))
+    ]
+
+
 def test_boundary_count_examples_and_brute_force():
     assert boundary_count(6, (0, 1, 2), 1, 2) == 9
     assert boundary_count(7, (0, 1, 2, 3), 2, 3) == 18
@@ -146,4 +181,4 @@ def test_constructor_validation():
 
 def test_degrees():
     G = Hypergraph.from_edges(5, 2, [(0, 1), (0, 2), (0, 3)])
-    assert G.degrees() == [3, 1, 1, 1, 0]
+    assert degrees(5, G.edges()) == [3, 1, 1, 1, 0]
