@@ -111,14 +111,15 @@ def ranks_of_bits(bits: int) -> list[int]:
 
 def bits_of_ranks(ranks) -> int:
     """The bitset whose set bits are exactly `ranks` (repeats are harmless),
-    in time linear in the ranks plus the width (see _BIT_LOOP_WORK)."""
+    in time linear in the ranks plus the width (see _BIT_LOOP_WORK); one
+    rank is one shift at any width."""
     ranks = list(ranks)
     if not ranks:
         return 0
     if min(ranks) < 0:
         raise EdgeOutOfRange(f"negative edge id {min(ranks)}")
     width = max(ranks) + 1
-    if len(ranks) * width <= _BIT_LOOP_WORK:
+    if len(ranks) == 1 or len(ranks) * width <= _BIT_LOOP_WORK:
         bits = 0
         for r in ranks:
             bits |= 1 << r

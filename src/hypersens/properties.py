@@ -310,46 +310,67 @@ class GraphPropertyBase(Property):
             self._isolation_term(S) for S in combinations(range(self.v), self.h)
         )
 
-    def _defects(self, bits: int, edges, S, limit: int) -> list[int]:
-        """The ranks of the sorted h-set S's defects at bits, whose present
-        edges are `edges`: its missing inside edges, then the present edges
-        meeting it in i..k-1 vertices.  Stops once it has more than limit."""
-        i, k = self.i, self.k
-        rank_of = rank_lookup(self.v, k)
+    def _edge_index(self, edges):
+        """The present edges as a set, and each i-subset of a present edge
+        mapped to the present edges holding it: what _defects reads, built
+        once per input."""
+        by_sub: dict = {}
+        for e in edges:
+            for sub in combinations(e, self.i):
+                by_sub.setdefault(sub, []).append(e)
+        return set(edges), by_sub
+
+    def _defects(self, index, S, limit: int) -> list[tuple[int, ...]]:
+        """The defects of the sorted h-set S, as sorted edge tuples, at the
+        input that `index` (see _edge_index) was built from: its missing
+        inside edges, then the present edges meeting it in i..k-1 vertices.
+        Those edges hold an i-subset of S, so only the edges indexed under
+        the C(h,i) i-subsets of S are met.  Stops once it has more than
+        limit."""
+        present, by_sub = index
         out = []
-        for r in map(rank_of, combinations(S, k)):
-            if not bits >> r & 1:
-                out.append(r)
+        for e in combinations(S, self.k):
+            if e not in present:
+                out.append(e)
                 if len(out) > limit:
                     return out
         inside = frozenset(S)
-        for e in edges:
-            if i <= len(inside.intersection(e)) < k:
-                out.append(rank_of(e))
-                if len(out) > limit:
-                    break
+        crossing = set()
+        for sub in combinations(S, self.i):
+            for e in by_sub.get(sub, ()):
+                if e not in crossing and not inside.issuperset(e):
+                    crossing.add(e)
+                    out.append(e)
+                    if len(out) > limit:
+                        return out
         return out
+
+    def _closed_neighbourhoods(self, edges, deg) -> dict[int, set[int]]:
+        """N[u], u and every vertex sharing an edge with u, for each vertex u
+        of degree C(h-1,k-1), the degree of every vertex of an h-set without
+        defects at i = 1."""
+        d = math.comb(self.h - 1, self.k - 1)
+        if not d:  # h = 1: a vertex of degree 0 is its own N[u]
+            return {u: {u} for u in range(self.v) if not deg[u]}
+        closed: dict = {}
+        for e in edges:
+            for u in e:
+                if deg[u] == d:
+                    closed.setdefault(u, {u}).update(e)
+        return closed
 
     def _find(self, bits: int):
         """The lexicographically first h-set without a defect, or None."""
         edges = edges_of_bits(self.v, self.k, bits)
         if self.i > 1:
+            index = self._edge_index(edges)
             for S in self._near_cliques(edges, 0):
-                if not self._defects(bits, edges, S, 0):
+                if not self._defects(index, S, 0):
                     return S
             return None
         # i = 1: the candidates are the closed neighbourhoods N[u] of the
         # vertices of degree d, each tried only from its least vertex
-        d = math.comb(self.h - 1, self.k - 1)
-        deg = degrees(self.v, edges)
-        if d:
-            closed = {}
-            for e in edges:
-                for u in e:
-                    if deg[u] == d:
-                        closed.setdefault(u, {u}).update(e)
-        else:  # h = 1: a vertex of degree 0 is its own N[u]
-            closed = {u: {u} for u in range(self.v) if not deg[u]}
+        closed = self._closed_neighbourhoods(edges, degrees(self.v, edges))
         for u in sorted(closed):
             N = closed[u]
             if len(N) == self.h and min(N) == u and all(closed.get(w) == N for w in N):
@@ -357,18 +378,27 @@ class GraphPropertyBase(Property):
         return None
 
     def _near_cliques(self, edges, slack: int):
-        """The h-sets, in lexicographic order, that may miss at most `slack`
-        (0 or 1) of their inside edges, as candidates for _defects: slack 0
-        for _find at i >= 2, slack 1 for enumerate_sensitive_tuples.
+        """The h-sets, in lexicographic order, that may have at most `slack`
+        (0 or 1) defects, as candidates for _defects: slack 0 for _find at
+        i >= 2, slack 1 for the near-term census of the sensitivity engine.
 
-        Each vertex of such a set lies in C(h-1,k-1) inside edges, so its
-        degree is at least C(h-1,k-1) - slack.  For h = k+1 the set keeps
-        at least k >= 2 of its k+1 inside edges; any two of those share k-1
-        vertices and unite to the set, so the unions of such edge pairs are
-        the candidates.
+        At i = 1 and h >= k+1 such a set S holds a vertex w of degree
+        exactly d = C(h-1,k-1) with closed neighbourhood N[w] = S: S has
+        h > k vertices, so some w in S lies outside its one missing or
+        crossing edge, if any.  Then all d inside edges through w are
+        present and cover S (k >= 2), and no other present edge holds w,
+        since it would meet S and be a second defect.  So the candidates
+        are the distinct N[w] of size h, whatever the slack.  At h = 1 the
+        set {w} has deg w defects.
+
+        At i >= 2 each vertex of such a set lies in C(h-1,k-1) inside edges,
+        so its degree is at least C(h-1,k-1) - slack.  For h = k+1 the set
+        keeps at least k >= 2 of its k+1 inside edges; any two of those
+        share k-1 vertices and unite to the set, so the unions of such edge
+        pairs are the candidates.
         """
         v, k, h = self.v, self.k, self.h
-        if h == k + 1:
+        if self.i > 1 and h == k + 1:
             by_sub: dict = {}
             cands = set()
             for e in edges:
@@ -379,6 +409,11 @@ class GraphPropertyBase(Property):
                     by_sub[sub].append(e)
             return sorted(cands)
         deg = degrees(v, edges)
+        if self.i == 1:
+            if h == 1:
+                return [(u,) for u in range(v) if deg[u] <= slack]
+            closed = self._closed_neighbourhoods(edges, deg)
+            return sorted({tuple(sorted(N)) for N in closed.values() if len(N) == h})
         min_deg = math.comb(h - 1, k - 1) - slack
         return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 

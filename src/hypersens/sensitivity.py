@@ -1,11 +1,16 @@
 """Exact sensitivity and block-sensitivity computation.
 
-`sensitivity_at` evaluates f at x and then at single-bit flips.  At
-f(x) = 1 a property that gives the (care, want) term of its witness
-(`witness_term`) is flipped only on the care bits: every other flip keeps
-x & care == want, so f stays 1.  The term is checked against x and against
-its closed-form care count before any bit is skipped.  At f(x) = 0, and for
-a function without terms, every bit is flipped and evaluated.
+`sensitivity_at` reads s(f, x) off the terms of f.  Every property here
+is an OR of (care, want) terms, and x ^ e matches a term T iff either x
+matches T and e is not a care bit of T, or x misses T at exactly the one
+care bit e.  So only the near terms, those within Hamming distance 1 of x,
+decide f at the flips of x.  For a graph property the terms are the
+h-sets and the bits where x misses a term are its defects (see
+GraphPropertyBase), so one census of the h-sets with at most one defect
+gives every sensitive bit with a single evaluation of f; the census is
+checked against f(x) and against the witness term of f.  The block
+functions flip only the care bits of their witness term, and a function
+without terms flips and evaluates every bit.
 
 Exhaustive work runs on a batch evaluator: a property whose `patterns()`
 gives (care, want) terms is evaluated on a uint64 numpy array of inputs as
@@ -53,8 +58,8 @@ from .errors import (
     TooLarge,
     ValueIsOne,
 )
-from .hypergraphs import bits_of_ranks, edges_of_bits, ranks_of_bits
-from .properties import input_bits
+from .hypergraphs import bits_of_ranks, edges_of_bits, rank_lookup, ranks_of_bits
+from .properties import GraphPropertyBase, input_bits
 from .rng import SplitMix64
 
 GLOBAL_BUDGET_BITS = 24
@@ -141,33 +146,32 @@ class SensitiveTuple:
 
 
 def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
-    """f at x and at every single-bit flip, in ascending bit order.
+    """f at x and its sensitive bits, in ascending bit order.
 
-    At f(x) = 1, when f gives a witness term (care, want), only the care
-    bits are flipped and evaluated: every other flip keeps x & care == want
-    and so f = 1.  The term is checked first (x must match it, and its care
-    must have the closed-form popcount); EvaluatorMismatch if it does not.
+    For a graph property the bits come from the census of its near terms
+    (see _near_terms), by the rule that x ^ e matches a term T iff either x
+    matches T and e is not in care(T), or x misses T at exactly the one
+    care bit e:
+      - at f(x) = 0 the sensitive bits are the single-mismatch bits, the
+        one defect of each h-set with exactly one;
+      - at f(x) = 1 they are the intersection of care(T) over the matched
+        terms, the h-sets without a defect, minus the single-mismatch bits.
+    f itself is evaluated once, at x.  The census must find a matched term
+    iff f(x) = 1, and at f(x) = 1 the witness term of f must match x, be one
+    of the matched terms and have the closed-form care count;
+    EvaluatorMismatch if not.
+
+    Any other function is evaluated at x and at single-bit flips: at
+    f(x) = 1, when f gives a witness term (care, want), only the care bits
+    are flipped, since every other flip keeps x & care == want and so f = 1;
+    the term is checked the same way first.
     """
     bits = input_bits(f, x)
     fx = f.value(bits)
-    positions = range(f.n)
-    witness_term = getattr(f, "witness_term", None)
-    term = witness_term(bits) if fx and witness_term is not None else None
-    if term is not None:
-        care, want = term
-        size = f.witness_term_size()
-        if bits & care != want or care.bit_count() != size:
-            raise EvaluatorMismatch(
-                f"witness term of {f.name} does not match the input or has"
-                f" {care.bit_count()} care bits instead of {size}"
-            )
-        positions = ranks_of_bits(care)
-    sensitive = []
-    for count, i in enumerate(positions):
-        if count % 512 == 0:
-            _check_deadline(deadline)
-        if f.value(bits ^ (1 << i)) != fx:
-            sensitive.append(i)
+    if isinstance(f, GraphPropertyBase):
+        sensitive = _census_sensitive_bits(f, bits, fx, deadline)
+    else:
+        sensitive = _flipped_sensitive_bits(f, bits, fx, deadline)
     return SensitivityReport(
         digest=input_digest(f.n, bits),
         f_value=fx,
@@ -175,6 +179,80 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
         s_at_x=len(sensitive),
         polarity="s1" if fx else "s0",
     )
+
+
+def _check_witness_term(f, bits: int, term) -> None:
+    """EvaluatorMismatch unless bits matches f's witness term (care, want)
+    and its care has the closed-form popcount."""
+    care, want = term
+    size = f.witness_term_size()
+    if bits & care != want or care.bit_count() != size:
+        raise EvaluatorMismatch(
+            f"witness term of {f.name} does not match the input or has"
+            f" {care.bit_count()} care bits instead of {size}"
+        )
+
+
+def _near_terms(f, bits: int, deadline=None):
+    """The census of the graph property f's near terms at bits: the h-sets
+    without a defect, and (S, e) for each h-set S whose one defect is the
+    edge tuple e, both in lexicographic order of S."""
+    edges = edges_of_bits(f.v, f.k, bits)
+    index = f._edge_index(edges)
+    matched, single = [], []
+    for count, S in enumerate(f._near_cliques(edges, 1)):
+        if count % 512 == 0:
+            _check_deadline(deadline)
+        defects = f._defects(index, S, 1)
+        if not defects:
+            matched.append(S)
+        elif len(defects) == 1:
+            single.append((S, defects[0]))
+    return matched, single
+
+
+def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
+    """The graph property f's sensitive bits at bits, where f = fx, from the
+    census (see sensitivity_at)."""
+    matched, single = _near_terms(f, bits, deadline)
+    if bool(matched) != bool(fx):
+        raise EvaluatorMismatch(
+            f"{f.name} gives f={fx}, but its census finds {len(matched)}"
+            " h-sets without a defect"
+        )
+    rank_of = rank_lookup(f.v, f.k)
+    mismatch = {rank_of(e) for _, e in single}
+    if not fx:
+        return sorted(mismatch)
+    term = f.witness_term(bits)
+    terms = [f._isolation_term(S) for S in matched]
+    if term not in terms:
+        raise EvaluatorMismatch(
+            f"witness term of {f.name} is none of the census's matched terms"
+        )
+    _check_witness_term(f, bits, term)
+    common = term[0]
+    for care, _ in terms:
+        common &= care
+    return [r for r in ranks_of_bits(common) if r not in mismatch]
+
+
+def _flipped_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
+    """f's sensitive bits at bits, where f = fx, by evaluating flips: only
+    the witness term's care bits at f = 1 when f gives one."""
+    positions = range(f.n)
+    witness_term = getattr(f, "witness_term", None)
+    term = witness_term(bits) if fx and witness_term is not None else None
+    if term is not None:
+        _check_witness_term(f, bits, term)
+        positions = ranks_of_bits(term[0])
+    sensitive = []
+    for count, i in enumerate(positions):
+        if count % 512 == 0:
+            _check_deadline(deadline)
+        if f.value(bits ^ (1 << i)) != fx:
+            sensitive.append(i)
+    return sensitive
 
 
 def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
@@ -411,21 +489,19 @@ def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     """All h-sets with exactly one defect (see GraphPropertyBase), in
     lexicographic order: flipping that edge, by adding a missing inside edge
     or removing a present edge that crosses the set, makes the set a desired
-    isolated clique.
+    isolated clique.  These are the f = 0 side of the near-term census of
+    sensitivity_at.
 
     `spec` is a graph property with isolation parameters i and h, such as an
     IsolatedCliqueProperty (IsolatedTriangleProperty is its k=2, i=1, h=3
-    subclass).  f(G) must be 0: the candidates include every set without a
-    defect, and meeting one raises ValueIsOne.
+    subclass).  f(G) must be 0: a set without a defect raises ValueIsOne.
     """
     bits = input_bits(spec, G)
-    edges = edges_of_bits(spec.v, spec.k, bits)
-    out = []
-    for S in spec._near_cliques(edges, 1):
-        defects = spec._defects(bits, edges, S, 1)
-        if not defects:
-            raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
-        if len(defects) == 1:
-            e = defects[0]
-            out.append(SensitiveTuple(S, e, "remove" if bits >> e & 1 else "add"))
-    return out
+    matched, single = _near_terms(spec, bits)
+    if matched:
+        raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
+    rank_of = rank_lookup(spec.v, spec.k)
+    return [
+        SensitiveTuple(S, rank_of(e), "add" if set(S).issuperset(e) else "remove")
+        for S, e in single
+    ]

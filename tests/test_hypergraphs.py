@@ -90,7 +90,8 @@ def test_bits_of_ranks_matches_or_oracle(ranks):
 
 def test_bits_of_ranks_cases():
     big = 1 << 18
-    for ranks in ([], [0], [7, 8], [9, 3, 3, 0], [5, 5, 5], [big, 3, big + 9, big]):
+    for ranks in ([], [0], [7, 8], [9, 3, 3, 0], [5, 5, 5], [big, 3, big + 9, big],
+                  [big << 4]):
         assert bits_of_ranks(ranks) == or_ranks_oracle(ranks)
     assert bits_of_ranks(iter([300_000, 2])) == (1 << 300_000) | 4
     with pytest.raises(EdgeOutOfRange):

@@ -1,5 +1,6 @@
 """Sensitivity engines against independent oracles."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -9,19 +10,21 @@ from conftest import (
     bs_brute,
     flip_all_oracle,
     minimal_blocks_from_table,
+    naive_isolated_clique_value,
     or_property,
     sensitive_tuples_oracle,
     table_property,
 )
 
 from hypersens.errors import (
+    CellBudgetExceeded,
     EvaluatorMismatch,
     NonSensitiveBlock,
     OverlappingBlocks,
     TooLarge,
     ValueIsOne,
 )
-from hypersens.hypergraphs import Hypergraph, rank_subset
+from hypersens.hypergraphs import Hypergraph, rank_subset, ranks_of_bits
 from hypersens.properties import (
     CyclicRubinsteinProperty,
     IsolatedCliqueProperty,
@@ -170,15 +173,93 @@ class _CountingTriangle(IsolatedTriangleProperty):
 
 
 def test_witness_guided_flips_evaluate_care_bits_only():
+    """A graph property's sensitive bits come from its near-term census, so
+    f is evaluated once, at x, on both sides: no flip is evaluated."""
     v = 12
     f = _CountingTriangle(v)
     f.calls = 0
     report = sensitivity_at(f, build_s1_witness(v, 2, 1, 3))
-    # f(x), then the 3 edges inside the triangle and the 3(v-3) at it
-    assert report.s_at_x == 3 * v - 6 and f.calls == 1 + 3 * v - 6
+    # the 3 edges inside the triangle and the 3(v-3) at it
+    assert report.s_at_x == 3 * v - 6 and f.calls == 1
     f.calls = 0
-    sensitivity_at(f, 0)
-    assert f.calls == 1 + f.n  # f = 0 keeps the full loop
+    zero = sensitivity_at(f, Hypergraph.from_edges(v, 2, [(0, 1), (0, 2)]))
+    assert zero.sensitive_bits == (rank_subset((1, 2), 2),) and f.calls == 1
+
+
+_CENSUS_CASES = [
+    IsolatedTriangleProperty(7),
+    IsolatedVertexProperty(7),
+    *(
+        IsolatedCliqueProperty(*shape)
+        for shape in [(7, 3, 1, 4), (7, 3, 2, 4), (8, 2, 1, 4), (8, 2, 1, 5),
+                      (7, 3, 2, 5), (7, 4, 2, 5), (7, 4, 3, 6)]
+    ),
+    IsolatedCliqueProperty(6, 3, 3, 4, allow_i_equal_k=True),
+]
+
+
+def _census_inputs(f, seed):
+    """The property's witness, the witness with one edge flipped (a present
+    edge, or any), the empty graph and random inputs of
+    densities 1/8 to 7/8."""
+    rng = SplitMix64(seed)
+    w = f.witness()
+    inside = ranks_of_bits(w)
+    out = [w, 0]
+    out += [w ^ 1 << inside[rng.below(len(inside))] for _ in range(3)]
+    out += [w ^ 1 << rng.below(f.n) for _ in range(6)]
+    for _ in range(3):
+        a, b, c = rng.bits(f.n), rng.bits(f.n), rng.bits(f.n)
+        out += [a & b & c, a & b, a, a | b, a | b | c]
+    return out
+
+
+def _naive_flips(f, x):
+    """(f(x), sensitive bits) by the unpruned reference evaluator."""
+    def value(y):
+        return naive_isolated_clique_value(f.v, f.k, f.i, f.h, y)
+
+    fx = value(x)
+    return fx, tuple(e for e in range(f.n) if value(x ^ 1 << e) != fx)
+
+
+@pytest.mark.parametrize(
+    "f", _CENSUS_CASES, ids=lambda f: "-".join(map(str, f.spec_json().values()))
+)
+def test_census_matches_flip_oracles(f):
+    seen = set()
+    for x in _census_inputs(f, 83 + f.n):
+        report = sensitivity_at(f, x)
+        got = (report.f_value, report.sensitive_bits)
+        assert got == flip_all_oracle(f, x) == _naive_flips(f, x), x
+        assert report.s_at_x == len(report.sensitive_bits)
+        seen.add(report.f_value)
+    assert seen == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        IsolatedTriangleProperty(40),
+        IsolatedVertexProperty(40),
+        IsolatedCliqueProperty(40, 3, 1, 4),
+        IsolatedCliqueProperty(40, 3, 2, 5),
+        IsolatedCliqueProperty(24, 4, 2, 5),
+    ],
+    ids=lambda f: "-".join(map(str, f.spec_json().values())),
+)
+def test_census_at_s1_witnesses_checks_every_bit(f):
+    sigma = SplitMix64(89 + f.v).permutation(f.v)
+    x = f.graph(f.witness()).relabel(sigma).bits
+    report = sensitivity_at(f, x)
+    assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x)
+    assert report.s_at_x == f.witness_term_size()
+
+
+def test_census_respects_an_expired_deadline():
+    f = IsolatedTriangleProperty(8)
+    with pytest.raises(CellBudgetExceeded):
+        sensitivity_at(f, build_s1_witness(8, 2, 1, 3), deadline=time.monotonic() - 1)
 
 
 class _DropsCareBit(IsolatedTriangleProperty):
