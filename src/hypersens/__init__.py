@@ -50,6 +50,7 @@ from .sensitivity import (
     SensitiveTuple,
     SensitivityReport,
     block_sensitivity_exact,
+    block_sensitivity_global,
     certify_blocks,
     enumerate_sensitive_tuples,
     evaluate_batch,

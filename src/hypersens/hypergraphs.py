@@ -188,13 +188,6 @@ class Hypergraph:
             raise EdgeOutOfRange(f"edge id {e} outside [0, {self.num_slots})")
         return Hypergraph(self.v, self.k, self.bits ^ (1 << e))
 
-    def flip_block(self, block) -> "Hypergraph":
-        block = list(block)
-        for e in block:
-            if not 0 <= e < self.num_slots:
-                raise EdgeOutOfRange(f"edge id {e} outside [0, {self.num_slots})")
-        return Hypergraph(self.v, self.k, self.bits ^ bits_of_ranks(block))
-
     def relabel(self, sigma) -> "Hypergraph":
         """Apply the vertex permutation sigma (old -> new) to every edge."""
         if sorted(sigma) != list(range(self.v)):

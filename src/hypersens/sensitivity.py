@@ -18,15 +18,22 @@ the OR of x & care == want over its terms (bit-slicing in the sense of
 Biham, FSE 1997: one pass of word operations covers a whole chunk of
 inputs).  A function without terms, such as an arbitrary table, falls back
 to one scalar `value` call per input.  `truth_table` evaluates chunks of
-consecutive inputs; `minimal_sensitive_blocks` scans block sizes in
-ascending order, one level of same-size masks at a time, skips a mask
-unevaluated when one of its one-bit-smaller subsets already holds a
-sensitive block, and evaluates the rest of the level as one batch.
+consecutive inputs.  Minimal sensitive blocks come from one level walk
+(`_block_walk`) over a set of inputs at once: block sizes in ascending
+order, one level of same-size masks at a time, where an (input, mask)
+pair is skipped unflipped when one of the mask's one-bit-smaller subsets
+already holds a sensitive block at that input.  `minimal_sensitive_blocks`
+is its one-input case and flips through `evaluate_batch`;
+`block_sensitivity_global` walks every input, a chunk of inputs at a time,
+and flips by table lookup: block B is sensitive at x iff
+table[x ^ B] != table[x].
 
 Batch results leave the engine only after the scalar evaluator has checked
-them: `sensitivity_global` compares its table with scalar `value` at 256
-fixed inputs and recomputes s at the argmax of s0 and of s1 with
-`sensitivity_at`, raising EvaluatorMismatch on any difference, and
+them.  `sensitivity_global` and `block_sensitivity_global` build the same
+checked truth table, compared with scalar `value` at 256 fixed inputs, and
+recompute their value at the argmax: s at the argmax of s0 and of s1 with
+`sensitivity_at`, bs at the smallest input of largest bs with
+`block_sensitivity_exact`; any difference raises EvaluatorMismatch.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
 which re-evaluates every block.
 
@@ -51,6 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    BadParameter,
     CellBudgetExceeded,
     EvaluatorMismatch,
     NonSensitiveBlock,
@@ -136,6 +144,13 @@ class BlockSensitivity:
     value: int
     certificate: BlockCertificate
     capped: bool  # True when max_block_size < n: value is only a lower bound
+
+
+@dataclass(frozen=True)
+class GlobalBlockSensitivity:
+    value: int
+    argmax: int
+    certificate: BlockCertificate  # at argmax, through certify_blocks
 
 
 @dataclass(frozen=True)
@@ -291,16 +306,10 @@ def truth_table(f, deadline=None) -> np.ndarray:
     return table
 
 
-def sensitivity_global(
-    f, budget_bits: int = GLOBAL_BUDGET_BITS, deadline=None
-) -> GlobalSensitivity:
-    """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask.
-
-    The batch truth table is compared with scalar `value` at
-    GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs, and s is recomputed by
-    `sensitivity_at` at the argmax of s0 and of s1; EvaluatorMismatch on
-    any difference.
-    """
+def _checked_table(f, budget_bits: int, deadline) -> np.ndarray:
+    """f's batch truth table, compared with scalar `value` at
+    GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs; EvaluatorMismatch on any
+    difference."""
     n = f.n
     if n > budget_bits:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
@@ -313,6 +322,20 @@ def sensitivity_global(
                 f"batch table gives f={table[x]} at input {x}; scalar value"
                 f" gives f={f.value(x)}"
             )
+    return table
+
+
+def sensitivity_global(
+    f, budget_bits: int = GLOBAL_BUDGET_BITS, deadline=None
+) -> GlobalSensitivity:
+    """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask.
+
+    The batch truth table is checked by _checked_table, and s is recomputed
+    by `sensitivity_at` at the argmax of s0 and of s1; EvaluatorMismatch on
+    any difference.
+    """
+    n = f.n
+    table = _checked_table(f, budget_bits, deadline)
     s_at = np.zeros(1 << n, dtype=np.uint32)
     for i in range(n):
         _check_deadline(deadline)
@@ -375,50 +398,129 @@ def _cached_level(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, rows
 
 
-def minimal_sensitive_blocks(
-    f, x, max_block_size: int, deadline=None
-) -> list[tuple[int, ...]]:
-    """All inclusion-minimal sensitive blocks of size <= max_block_size at x,
-    as sorted position tuples in lexicographic order."""
-    n = f.n
-    if n > GLOBAL_BUDGET_BITS:
-        raise TooLarge(f"block scan over an n={n} input is out of scope")
-    if not 1 <= max_block_size <= n:
-        raise TooLarge(f"need 1 <= max_block_size <= {n}")
-    bits = input_bits(f, x)
-    fx = bool(f.value(bits))
-    found: list[int] = []
-    # level 0 is the empty block, which flips nothing
-    prev = np.zeros(1, dtype=np.uint32)
-    held = np.zeros(1, dtype=bool)  # mask is or contains a sensitive block
+def _block_walk(n: int, count: int, max_block_size: int, flips, deadline):
+    """The inclusion-minimal sensitive blocks of size <= max_block_size at
+    each of `count` inputs, as (input rows, block masks) in level order.
+
+    flips(rows, masks) says, pair by pair, whether flipping block masks[j]
+    at input rows[j] changes f.  Levels of same-size masks are scanned in
+    ascending size, at most max(1, BATCH_CHUNK // count) masks at a time; a
+    (input, mask) pair is skipped unflipped when one of the mask's
+    one-bit-smaller subsets already holds a sensitive block at that input,
+    since a sensitive proper subset would contain a found minimal block.
+    """
+    found_rows, found_masks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, np.uint32)]
+    prev = np.zeros(1, dtype=np.uint32)  # level 0 is the empty block
+    held = np.zeros((count, 1), dtype=bool)  # mask is or contains a block
+    step = max(1, BATCH_CHUNK // count)
     for size in range(1, max_block_size + 1):
         if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
             masks, rows = _cached_level(n, size)
         else:
             masks, rows = _next_level(prev, n), None
-        level_held = np.empty(len(masks), dtype=bool)
-        for start in range(0, len(masks), BATCH_CHUNK):
+        level_held = np.empty((count, len(masks)), dtype=bool)
+        for start in range(0, len(masks), step):
             _check_deadline(deadline)
-            chunk = masks[start : start + BATCH_CHUNK]
+            chunk = masks[start : start + step]
             sub = (
-                rows[start : start + BATCH_CHUNK]
+                rows[start : start + step]
                 if rows is not None
                 else _subset_rows(chunk, prev, size)
             )
-            # a sensitive proper subset would contain a found minimal
-            # block, and so would one of the one-bit-smaller subsets
-            chunk_held = held[sub].any(axis=1)
-            todo = np.flatnonzero(~chunk_held)
-            if todo.size:
-                candidates = chunk[todo]
-                hit = evaluate_batch(f, np.uint64(bits) ^ candidates) != fx
-                chunk_held[todo[hit]] = True
-                found.extend(int(m) for m in candidates[hit])
-            level_held[start : start + len(chunk)] = chunk_held
+            chunk_held = held[:, sub[:, 0]]
+            for j in range(1, size):
+                chunk_held |= held[:, sub[:, j]]
+            todo_rows, todo_cols = np.nonzero(~chunk_held)
+            if todo_rows.size:
+                candidates = chunk[todo_cols]
+                hit = flips(todo_rows, candidates)
+                chunk_held[todo_rows[hit], todo_cols[hit]] = True
+                found_rows.append(todo_rows[hit])
+                found_masks.append(candidates[hit])
+            level_held[:, start : start + len(chunk)] = chunk_held
         if level_held.all():
             break  # every larger mask contains a found block
         prev, held = masks, level_held
-    return sorted(tuple(ranks_of_bits(m)) for m in found)
+    return np.concatenate(found_rows), np.concatenate(found_masks)
+
+
+def minimal_sensitive_blocks(
+    f, x, max_block_size: int, deadline=None
+) -> list[tuple[int, ...]]:
+    """All inclusion-minimal sensitive blocks of size <= max_block_size at x,
+    as sorted position tuples in lexicographic order; the one-input case of
+    _block_walk, evaluated by evaluate_batch."""
+    n = f.n
+    if n > GLOBAL_BUDGET_BITS:
+        raise TooLarge(f"block scan over an n={n} input is out of scope")
+    if not 1 <= max_block_size <= n:
+        raise BadParameter(f"need 1 <= max_block_size <= {n}")
+    bits = input_bits(f, x)
+    fx = bool(f.value(bits))
+    base = np.uint64(bits)
+
+    def flips(rows, masks):
+        return evaluate_batch(f, base ^ masks) != fx
+
+    _, found = _block_walk(n, 1, max_block_size, flips, deadline)
+    return sorted(tuple(ranks_of_bits(m)) for m in found.tolist())
+
+
+def _minimal_blocks_everywhere(table: np.ndarray, n: int, deadline):
+    """(x, the minimal sensitive blocks at x as masks in level order) for
+    every input x in ascending order, read off the truth table: block B is
+    sensitive at x iff table[x ^ B] != table[x].  Inputs go through
+    _block_walk in chunks small enough that a chunk times the largest level
+    stays within BATCH_CHUNK pairs."""
+    size = 1 << n
+    chunk = max(1, BATCH_CHUNK // math.comb(n, n // 2))
+    for start in range(0, size, chunk):
+        xs = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+        fx = table[xs]
+
+        def flips(rows, masks):
+            return table[xs[rows] ^ masks] != fx[rows]
+
+        rows, masks = _block_walk(n, len(xs), n, flips, deadline)
+        order = np.argsort(rows, kind="stable")  # keeps level order per input
+        bounds = np.searchsorted(rows[order], np.arange(len(xs) + 1)).tolist()
+        masks = masks[order].tolist()
+        for j in range(len(xs)):
+            yield start + j, masks[bounds[j] : bounds[j + 1]]
+
+
+def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
+    """Exact max of bs(f, x) over all inputs; ties go to the smallest bitmask.
+
+    The minimal blocks of every input come from one walk over the truth
+    table checked by _checked_table; an input is packed only when it has
+    more minimal blocks than the best packing so far, since bs(f, x) is at
+    most their number.  bs is recomputed by `block_sensitivity_exact` at
+    the argmax, whose certificate `certify_blocks` re-verifies with scalar
+    `value`; EvaluatorMismatch on any difference.
+    """
+    table = _checked_table(f, GLOBAL_BUDGET_BITS, deadline)
+    best, argmax = -1, 0
+    for x, blocks in _minimal_blocks_everywhere(table, f.n, deadline):
+        if len(blocks) > best:
+            count, _ = _pack_blocks(blocks, deadline)
+            if count > best:
+                best, argmax = count, x
+    try:
+        check = block_sensitivity_exact(f, argmax, f.n, deadline)
+    except NonSensitiveBlock as exc:
+        raise EvaluatorMismatch(
+            f"batch evaluation finds a block at input {argmax} that scalar"
+            " value does not flip"
+        ) from exc
+    if check.value != best:
+        raise EvaluatorMismatch(
+            f"batch table gives bs={best} at input {argmax}; the certified"
+            f" scan gives bs={check.value}"
+        )
+    return GlobalBlockSensitivity(
+        value=best, argmax=argmax, certificate=check.certificate
+    )
 
 
 def _pack_blocks(blocks: list[int], deadline=None) -> tuple[int, list[int]]:
@@ -428,6 +530,8 @@ def _pack_blocks(blocks: list[int], deadline=None) -> tuple[int, list[int]]:
     already compatible with everything chosen; the candidate count is the
     pruning bound.
     """
+    if len(blocks) > MAX_PACKING_BLOCKS:
+        raise TooLarge(f"{len(blocks)} blocks exceeds the packing budget")
     best_count = 0
     best: list[int] = []
 
@@ -456,8 +560,6 @@ def block_sensitivity_exact(
     """bs(f, x) over blocks of size <= max_block_size, with a certificate."""
     bits = input_bits(f, x)
     blocks = minimal_sensitive_blocks(f, x, max_block_size, deadline)
-    if len(blocks) > MAX_PACKING_BLOCKS:
-        raise TooLarge(f"{len(blocks)} blocks exceeds the packing budget")
     blocks.sort(key=lambda b: (len(b), b))
     _, picked = _pack_blocks([bits_of_ranks(b) for b in blocks], deadline)
     cert = certify_blocks(f, bits, [blocks[j] for j in picked])

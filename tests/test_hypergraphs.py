@@ -76,13 +76,6 @@ def test_flip_edge_involution():
         G.flip_edge(10)
 
 
-def test_flip_block():
-    G = Hypergraph.empty(4, 2)
-    assert G.flip_block([]) == G
-    assert G.flip_block(range(6)) == Hypergraph.complete(4, 2)
-    assert G.flip_block([0, 0, 1]) == G.flip_block([0, 1])  # ids applied once
-
-
 @given(st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
 def test_bits_of_ranks_matches_or_oracle(ranks):
     assert bits_of_ranks(ranks) == or_ranks_oracle(ranks)

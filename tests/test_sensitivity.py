@@ -17,6 +17,7 @@ from conftest import (
 )
 
 from hypersens.errors import (
+    BadParameter,
     CellBudgetExceeded,
     EvaluatorMismatch,
     NonSensitiveBlock,
@@ -34,13 +35,18 @@ from hypersens.properties import (
     rotate_left,
 )
 from hypersens.rng import SplitMix64
+from hypersens.scaling import run_scan
 from hypersens.sensitivity import (
+    _minimal_blocks_everywhere,
+    _pack_blocks,
     block_sensitivity_exact,
+    block_sensitivity_global,
     certify_blocks,
     enumerate_sensitive_tuples,
     minimal_sensitive_blocks,
     sensitivity_at,
     sensitivity_global,
+    truth_table,
 )
 from hypersens.witnesses import (
     build_isolated_vertex_witness,
@@ -368,6 +374,11 @@ class TestMinimalBlocks:
         blocks = minimal_sensitive_blocks(f, 0, 6)
         assert blocks == [(0,), (1,)]
 
+    @pytest.mark.parametrize("cap", [0, -1, 7])
+    def test_max_block_size_outside_1_to_n_is_bad_parameter(self, cap):
+        with pytest.raises(BadParameter, match="max_block_size"):
+            minimal_sensitive_blocks(or_property(6), 0, cap)
+
 
 def _scalar_table(f):
     return np.array([f.value(x) for x in range(1 << f.n)], dtype=np.uint8)
@@ -440,6 +451,87 @@ class TestBlockSensitivityExact:
         res = block_sensitivity_exact(f, 0, 3)
         cert = certify_blocks(f, 0, res.certificate.blocks)
         assert cert.count == res.value
+
+
+_GLOBAL_BS_CASES = [
+    IsolatedTriangleProperty(4),
+    IsolatedTriangleProperty(5),
+    IsolatedCliqueProperty(4, 2, 1, 4),
+    IsolatedCliqueProperty(5, 2, 1, 4),
+    IsolatedVertexProperty(3),
+    IsolatedVertexProperty(4),
+    IsolatedVertexProperty(5),
+    CyclicRubinsteinProperty(2),
+    table_property(SplitMix64(59).bits(1 << 9), 9),
+]
+
+
+class TestBlockSensitivityGlobal:
+    @pytest.mark.parametrize(
+        "f", _GLOBAL_BS_CASES, ids=[f"{f.name}-n{f.n}" for f in _GLOBAL_BS_CASES]
+    )
+    def test_walk_matches_the_one_input_scan_everywhere(self, f):
+        """At every input, the all-inputs walk's minimal blocks and their
+        packing equal minimal_sensitive_blocks and block_sensitivity_exact;
+        the global max is theirs, at the smallest input that attains it."""
+        seen = []
+        for x, masks in _minimal_blocks_everywhere(truth_table(f), f.n, None):
+            expected = minimal_sensitive_blocks(f, x, f.n)
+            assert sorted(tuple(ranks_of_bits(m)) for m in masks) == expected, x
+            bs = block_sensitivity_exact(f, x, f.n).value
+            assert _pack_blocks(masks)[0] == bs, x
+            seen.append(bs)
+        assert len(seen) == 1 << f.n
+        g = block_sensitivity_global(f)
+        assert (g.value, g.argmax) == (max(seen), seen.index(max(seen)))
+        assert g.certificate.count == g.value
+        assert certify_blocks(f, g.argmax, g.certificate.blocks).count == g.value
+
+    def test_matches_brute_force_dp_on_random_tables(self):
+        rng = SplitMix64(43)
+        for n in (3, 4, 5, 6, 7, 8):
+            f = table_property(rng.bits(1 << n), n)
+            best = max(bs_brute(f, x) for x in range(1 << n))
+            assert block_sensitivity_global(f).value == best, n
+
+    def test_constant_function(self):
+        g = block_sensitivity_global(BitsProperty(5, lambda x: 1))
+        assert (g.value, g.argmax, g.certificate.blocks) == (0, 0, ())
+
+    def test_wrong_patterns_are_caught(self):
+        majority = BitsProperty(10, lambda x: int((x & 0b111).bit_count() >= 2))
+        cases = [
+            # no term for vertex v-1
+            (IsolatedVertexProperty(4), IsolatedVertexProperty(4).patterns()[:-1]),
+            (IsolatedVertexProperty(5), IsolatedVertexProperty(5).patterns()[:-1]),
+            # the last block's term missing
+            (RubinsteinProperty(2), RubinsteinProperty(2).patterns()[:-1]),
+            # only the unrotated terms of the cyclic closure
+            (CyclicRubinsteinProperty(2), RubinsteinProperty(2).patterns()),
+            # a spurious 1 at the all-zero input, which no sample hits; it
+            # becomes the argmax with bs = 10, against 2 at the re-check
+            (
+                IsolatedTriangleProperty(5),
+                IsolatedTriangleProperty(5).patterns() + (((1 << 10) - 1, 0),),
+            ),
+            # spurious 1s at the all-zero input and at bit 3 alone, which no
+            # sample hits; at the argmax 0 the batch scan finds the block
+            # (3,), which scalar value does not flip
+            (majority, ((0b011, 0b011), (0b101, 0b101), (0b110, 0b110),
+                        ((1 << 10) - 1 - 0b1000, 0))),
+        ]
+        for f, wrong in cases:
+            f.patterns = lambda wrong=wrong: wrong
+            with pytest.raises(EvaluatorMismatch):
+                block_sensitivity_global(f)
+
+    def test_expired_budget_leaves_the_scan_cell_empty(self):
+        result = run_scan("isolated-vertex", [4, 5], ("bs_exact",), budget_ms=0)
+        assert all(r.bs_exact is None for r in result.rows)
+        assert result.warnings[:2] == [
+            f"column bs_exact at v={v} exceeded the 0 ms budget; cell left empty"
+            for v in (4, 5)
+        ]
 
 
 class TestCertifyBlocks:
