@@ -274,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--budget-ms", type=int, default=60_000)
 
     prop_flags = argparse.ArgumentParser(add_help=False)
     prop_flags.add_argument("--property", choices=VARIANTS)
@@ -341,6 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-step", type=int, default=1)
     p.add_argument("--columns", default="s_lower,bs_lower")
     p.add_argument("--timings", action="store_true")
+    p.add_argument("--budget-ms", type=int, default=60_000)
     p.add_argument("--k", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--h", type=int)

@@ -1,5 +1,8 @@
-"""Exception hierarchy. Every domain failure derives from DomainError so the
-CLI can map it to exit code 1; programming errors stay ordinary exceptions."""
+"""Exception hierarchy: one class per distinct handling. A class exists only
+when some caller treats it differently from its base; every other failure
+reuses the class whose handling it shares, and its message says what went
+wrong. Every domain failure derives from DomainError so the CLI can map it
+to exit code 1; programming errors stay ordinary exceptions."""
 
 
 class DomainError(Exception):
@@ -7,74 +10,18 @@ class DomainError(Exception):
 
 
 class BadParameter(DomainError):
-    """Generic precondition violation not covered by a more specific error."""
+    """An input outside the domain of the function that received it.
+    `run_scan` catches it around `fit_exponent` to skip a fit."""
 
 
-# finite fields
-class NonPrime(DomainError):
-    def __init__(self, p):
-        super().__init__(f"{p} is not prime")
-        self.p = p
-
-
-class DegreeOutOfRange(DomainError):
-    pass
-
-
-class ZeroInverse(DomainError):
-    pass
-
-
-# set families
-class DOutOfRange(DomainError):
-    pass
-
-
-class UniverseTooLarge(DomainError):
-    pass
-
-
-class TargetTooLarge(DomainError):
-    pass
-
-
-# hypergraphs
-class WrongArity(DomainError):
-    pass
-
-
-class VertexOutOfRange(DomainError):
-    pass
-
-
-class EdgeOutOfRange(DomainError):
-    pass
-
-
-class IOutOfRange(DomainError):
-    pass
-
-
-# properties
-class BadLength(DomainError):
-    pass
-
-
-class OddK(DomainError):
-    pass
-
-
-class LengthMismatch(DomainError):
-    pass
-
-
-# sensitivity engine
 class TooLarge(DomainError):
-    pass
+    """A size budget (bits, inputs or blocks) rules the input out."""
 
 
-class OverlappingBlocks(DomainError):
-    pass
+class CellBudgetExceeded(DomainError):
+    """A per-cell wall-clock deadline was hit mid-computation. `run_scan`
+    catches it to leave the cell empty with a warning, so no other size
+    error may share it: that would turn a real failure into a false timeout."""
 
 
 class NonSensitiveBlock(DomainError):
@@ -91,41 +38,3 @@ class EvaluatorMismatch(RuntimeError):
     """The batch evaluator disagreed with scalar `value`, or a witness term
     failed its checks: a programming error in some `patterns()` or
     `witness_term()`, hence not a DomainError."""
-
-
-# witnesses
-class TooSmall(DomainError):
-    pass
-
-
-class SetOutOfRange(DomainError):
-    pass
-
-
-class IntersectionTooLarge(DomainError):
-    pass
-
-
-class HTooLarge(DomainError):
-    pass
-
-
-class ConstructionUnavailable(DomainError):
-    pass
-
-
-# experiment harness
-class BudgetExceeded(DomainError):
-    pass
-
-
-class CellBudgetExceeded(DomainError):
-    """Internal: a per-cell wall-clock deadline was hit mid-computation."""
-
-
-class TooFewRows(DomainError):
-    pass
-
-
-class NonPositiveY(DomainError):
-    pass

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 
-from .errors import BadParameter, DOutOfRange, TargetTooLarge, UniverseTooLarge
+from .errors import BadParameter
 from .gf import Field, FieldPoly
 
 MAX_UNIVERSE = 1 << 30
@@ -68,12 +68,12 @@ def generate_family(
     """All q^(d*ell) polynomial-tuple sets, or a deterministic prefix."""
     q = field.order
     if not 1 <= d <= q:
-        raise DOutOfRange(f"need 1 <= d <= q, got d={d}, q={q}")
+        raise BadParameter(f"need 1 <= d <= q, got d={d}, q={q}")
     if ell < 1:
         raise BadParameter(f"need ell >= 1, got {ell}")
     universe = q ** (ell + 1)
     if universe > MAX_UNIVERSE:
-        raise UniverseTooLarge(f"universe {q}^{ell + 1} exceeds {MAX_UNIVERSE}")
+        raise BadParameter(f"universe {q}^{ell + 1} exceeds {MAX_UNIVERSE}")
     total = q ** (d * ell)
     count = total if limit is None else min(limit, total)
     if count < 0:
@@ -154,7 +154,7 @@ def verify_family(fam: SetFamily) -> FamilyCheck:
 def trim_sets(fam: SetFamily, target: int) -> SetFamily:
     """Keep the `target` smallest elements of every set."""
     if target > fam.set_size:
-        raise TargetTooLarge(f"target {target} exceeds set size {fam.set_size}")
+        raise BadParameter(f"target {target} exceeds set size {fam.set_size}")
     return replace(
         fam, sets=tuple(s[:target] for s in fam.sets), set_size=target
     )

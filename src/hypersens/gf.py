@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeOutOfRange, NonPrime, ZeroInverse
+from .errors import BadParameter
 
 MAX_ORDER = 1 << 15
 
@@ -180,7 +180,7 @@ class Field:
     def pow(self, a: int, e: int) -> int:
         if not a:
             if e < 0:
-                raise ZeroInverse("0 has no multiplicative inverse")
+                raise BadParameter("0 has no multiplicative inverse")
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.order - 1)]
 
@@ -195,11 +195,11 @@ class Field:
 def make_field(p: int, m: int) -> Field:
     """GF(p^m) with the lexicographically smallest monic irreducible modulus."""
     if p < 2 or not is_prime(p):
-        raise NonPrime(p)
+        raise BadParameter(f"{p} is not prime")
     if m < 1:
-        raise DegreeOutOfRange(f"extension degree {m} < 1")
+        raise BadParameter(f"extension degree {m} < 1")
     if p**m > MAX_ORDER:
-        raise DegreeOutOfRange(f"field order {p}^{m} exceeds {MAX_ORDER}")
+        raise BadParameter(f"field order {p}^{m} exceeds {MAX_ORDER}")
     if m == 1:
         return Field(p, 1, ())
     # digits of idx, most significant first, are (c_0, ..., c_{m-1}); a

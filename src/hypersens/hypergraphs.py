@@ -17,24 +17,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    EdgeOutOfRange,
-    IOutOfRange,
-    VertexOutOfRange,
-    WrongArity,
-)
+from .errors import BadParameter
 
 
 def rank_subset(S, k: int | None = None) -> int:
     """Colex rank of the vertex subset S; k, when given, is checked."""
     s = sorted(S)
     if len(set(s)) != len(s):
-        raise VertexOutOfRange(f"repeated vertex in {S}")
+        raise BadParameter(f"repeated vertex in {S}")
     if any(a < 0 for a in s):
-        raise VertexOutOfRange(f"negative vertex in {S}")
+        raise BadParameter(f"negative vertex in {S}")
     if k is not None and len(s) != k:
-        raise WrongArity(f"expected a {k}-subset, got {len(s)} vertices")
+        raise BadParameter(f"expected a {k}-subset, got {len(s)} vertices")
     return _colex_rank(s)
 
 
@@ -46,7 +40,7 @@ def _colex_rank(s) -> int:
 def unrank_subset(r: int, v: int, k: int) -> tuple[int, ...]:
     """k-subset of {0..v-1} with colex rank r."""
     if not 0 <= r < math.comb(v, k):
-        raise EdgeOutOfRange(f"rank {r} outside [0, C({v},{k}))")
+        raise BadParameter(f"rank {r} outside [0, C({v},{k}))")
     out = [0] * k
     n = v
     while k > 0:
@@ -94,7 +88,7 @@ def ranks_of_bits(bits: int) -> list[int]:
     """The ascending positions of the set bits, the inverse of bits_of_ranks,
     in time linear in the width plus the set bits (see _BIT_LOOP_WORK)."""
     if bits < 0:
-        raise EdgeOutOfRange("a bitset must not be negative")
+        raise BadParameter("a bitset must not be negative")
     if bits.bit_count() * bits.bit_length() <= _BIT_LOOP_WORK:
         out = []
         while bits:
@@ -117,7 +111,7 @@ def bits_of_ranks(ranks) -> int:
     if not ranks:
         return 0
     if min(ranks) < 0:
-        raise EdgeOutOfRange(f"negative edge id {min(ranks)}")
+        raise BadParameter(f"negative edge id {min(ranks)}")
     width = max(ranks) + 1
     if len(ranks) == 1 or len(ranks) * width <= _BIT_LOOP_WORK:
         bits = 0
@@ -147,9 +141,9 @@ class Hypergraph:
 
     def __post_init__(self):
         if self.k < 1 or self.k > self.v:
-            raise WrongArity(f"need 1 <= k <= v, got k={self.k}, v={self.v}")
+            raise BadParameter(f"need 1 <= k <= v, got k={self.k}, v={self.v}")
         if self.bits < 0 or self.bits >> self.num_slots:
-            raise EdgeOutOfRange("bitset wider than the edge-slot count")
+            raise BadParameter("bitset wider than the edge-slot count")
 
     @property
     def num_slots(self) -> int:
@@ -169,13 +163,14 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, v: int, k: int, edges) -> "Hypergraph":
+        cls.empty(v, k)  # checks 1 <= k <= v before any edge is read
         ranks = []
         for e in edges:
             e = tuple(sorted(e))
             if len(e) != k:
-                raise WrongArity(f"edge {e} is not a {k}-subset")
+                raise BadParameter(f"edge {e} is not a {k}-subset")
             if e[-1] >= v:
-                raise VertexOutOfRange(f"edge {e} has a vertex >= {v}")
+                raise BadParameter(f"edge {e} has a vertex >= {v}")
             ranks.append(rank_subset(e, k))
         return cls(v, k, bits_of_ranks(ranks))
 
@@ -183,15 +178,10 @@ class Hypergraph:
         """Present edges as sorted vertex tuples, in colex-rank order."""
         return iter(edges_of_bits(self.v, self.k, self.bits))
 
-    def flip_edge(self, e: int) -> "Hypergraph":
-        if not 0 <= e < self.num_slots:
-            raise EdgeOutOfRange(f"edge id {e} outside [0, {self.num_slots})")
-        return Hypergraph(self.v, self.k, self.bits ^ (1 << e))
-
     def relabel(self, sigma) -> "Hypergraph":
         """Apply the vertex permutation sigma (old -> new) to every edge."""
         if sorted(sigma) != list(range(self.v)):
-            raise VertexOutOfRange("sigma is not a permutation of the vertices")
+            raise BadParameter("sigma is not a permutation of the vertices")
         rank_of = rank_lookup(self.v, self.k)
         bits = bits_of_ranks(
             rank_of(tuple(sorted(sigma[u] for u in e))) for e in self.edges()
@@ -211,7 +201,7 @@ class Hypergraph:
     @classmethod
     def from_json(cls, obj: dict) -> "Hypergraph":
         for key in ("v", "k"):
-            if not isinstance(obj.get(key), int):
+            if type(obj.get(key)) is not int:
                 raise BadParameter(f"hypergraph JSON needs an integer {key!r}")
         v, k = obj["v"], obj["k"]
         if "hex" in obj:
@@ -242,6 +232,6 @@ def degrees(v: int, edges) -> list[int]:
 def boundary_count(v: int, S, i: int, k: int) -> int:
     """Number of k-subsets E of a v-vertex set with i <= |E & S| <= k-1."""
     if i > k:
-        raise IOutOfRange(f"need i <= k, got i={i}, k={k}")
+        raise BadParameter(f"need i <= k, got i={i}, k={k}")
     s = len(S) if not isinstance(S, int) else S
     return sum(math.comb(s, j) * math.comb(v - s, k - j) for j in range(i, k))

@@ -39,14 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    BadLength,
-    BadParameter,
-    IOutOfRange,
-    LengthMismatch,
-    OddK,
-    WrongArity,
-)
+from .errors import BadParameter
 from .hypergraphs import (
     Hypergraph,
     bits_of_ranks,
@@ -84,17 +77,17 @@ def as_bits(x, n: int) -> int:
     """Coerce an input (int, 0/1 string, bit sequence) to an n-bit mask."""
     if isinstance(x, str):
         if len(x) != n:
-            raise BadLength(f"input string has length {len(x)}, need {n}")
+            raise BadParameter(f"input string has length {len(x)}, need {n}")
         if set(x) - {"0", "1"}:
-            raise BadLength("input string must consist of 0s and 1s")
+            raise BadParameter("input string must consist of 0s and 1s")
         x = [c == "1" for c in x]
     elif isinstance(x, int):
         if x < 0 or x >> n:
-            raise LengthMismatch(f"bitmask does not fit in {n} bits")
+            raise BadParameter(f"bitmask does not fit in {n} bits")
         return x
     bits = list(x)
     if len(bits) != n:
-        raise BadLength(f"input has length {len(bits)}, need {n}")
+        raise BadParameter(f"input has length {len(bits)}, need {n}")
     return bits_of_ranks(i for i, b in enumerate(bits) if b)
 
 
@@ -185,7 +178,7 @@ class RubinsteinProperty(Property):
 
     def __init__(self, k: int):
         if k % 2:
-            raise OddK(f"block count k must be even, got {k}")
+            raise BadParameter(f"block count k must be even, got {k}")
         if k < 2:
             raise BadParameter("need k >= 2")
         self.k = k
@@ -476,10 +469,10 @@ class IsolatedCliqueProperty(GraphPropertyBase):
 
     def __init__(self, v: int, k: int, i: int, h: int, allow_i_equal_k: bool = False):
         if k < 2 or k > v:
-            raise WrongArity(f"need 2 <= k <= v, got k={k}, v={v}")
+            raise BadParameter(f"need 2 <= k <= v, got k={k}, v={v}")
         hi = k if allow_i_equal_k else k - 1
         if not 1 <= i <= hi:
-            raise IOutOfRange(
+            raise BadParameter(
                 f"need 1 <= i < k (i = k only with the override), got i={i}, k={k}"
             )
         if not k + 1 <= h <= v:

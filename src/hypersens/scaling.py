@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    BudgetExceeded,
-    CellBudgetExceeded,
-    NonPositiveY,
-    TooFewRows,
-)
+from .errors import BadParameter, CellBudgetExceeded, TooLarge
 from .properties import property_from_json
 from .sensitivity import (
     GLOBAL_BUDGET_BITS,
@@ -66,9 +60,9 @@ def fit_exponent(rows) -> FitResult:
     """Ordinary least squares for log y = slope * log v + intercept."""
     pairs = [(int(v), float(y)) for v, y in rows]
     if len(pairs) < 3:
-        raise TooFewRows(f"need at least 3 rows, got {len(pairs)}")
+        raise BadParameter(f"need at least 3 rows, got {len(pairs)}")
     if any(y <= 0 for _, y in pairs):
-        raise NonPositiveY("all y values must be positive for a log-log fit")
+        raise BadParameter("all y values must be positive for a log-log fit")
     x = np.log([v for v, _ in pairs])
     y = np.log([y for _, y in pairs])
     slope, intercept = np.polyfit(x, y, 1)
@@ -151,7 +145,7 @@ def run_scan(
         if c in columns:
             for prop in props:
                 if prop.n > GLOBAL_BUDGET_BITS:
-                    raise BudgetExceeded(
+                    raise TooLarge(
                         f"column {c} at v={prop.v} needs 2^{prop.n} inputs"
                         f" (> 2^{GLOBAL_BUDGET_BITS})"
                     )
@@ -192,7 +186,7 @@ def run_scan(
         pairs = [(r.v, getattr(r, col)) for r in rows if (getattr(r, col) or 0) > 0]
         try:
             fits[col] = fit_exponent(pairs)
-        except (TooFewRows, NonPositiveY) as exc:
+        except BadParameter as exc:
             warnings.append(f"no fit for {col}: {exc}")
     return ScanResult(rows, fits, warnings)
 

@@ -18,14 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    BadParameter,
-    ConstructionUnavailable,
-    HTooLarge,
-    IntersectionTooLarge,
-    SetOutOfRange,
-    TooSmall,
-)
+from .errors import BadParameter
 from .families import SetFamily, first_overlap, generate_family, trim_sets
 from .gf import make_field, prime_power, prime_power_in_range
 from .hypergraphs import Hypergraph, bits_of_ranks, boundary_count, rank_subset
@@ -56,7 +49,7 @@ def triangle_packing(v: int) -> Packing:
     v'(v'-1)/6 >= (v-5)(v-6)/6 for v >= 9.
     """
     if v < 3:
-        raise TooSmall("triangle packing needs v >= 3")
+        raise BadParameter("triangle packing needs v >= 3")
     vp = v
     while vp % 6 != 3:
         vp -= 1
@@ -84,7 +77,7 @@ def clique_packing(v: int, k: int) -> Packing:
     if k < 2:
         raise BadParameter("need k >= 2")
     if v < k + 1:
-        raise TooSmall(f"clique packing needs v >= k+1 = {k + 1}")
+        raise BadParameter(f"clique packing needs v >= k+1 = {k + 1}")
     used: set[tuple[int, ...]] = set()
     members = []
     for cand in combinations(range(v), k + 1):
@@ -120,7 +113,7 @@ def _family_vertex_sets(family: SetFamily, v: int) -> list[tuple[int, ...]]:
     """Map universe elements to vertices 0..v-1 by sorted order of use."""
     elements = sorted({e for s in family.sets for e in s})
     if len(elements) > v:
-        raise SetOutOfRange(
+        raise BadParameter(
             f"family uses {len(elements)} elements but only {v} vertices exist"
         )
     index = {e: i for i, e in enumerate(elements)}
@@ -137,20 +130,22 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
     vertex sets in [0, v).  Pairwise intersections must stay below i, which
     makes every completed clique automatically isolated.
     """
+    if h < k + 1:
+        raise BadParameter(f"need h >= k+1, got h={h}, k={k}")
     if isinstance(family, SetFamily):
         vertex_sets = _family_vertex_sets(family, v)
     else:
         vertex_sets = [tuple(sorted(s)) for s in family]
         for s in vertex_sets:
             if s and (s[0] < 0 or s[-1] >= v):
-                raise SetOutOfRange(f"set {s} leaves [0, {v})")
+                raise BadParameter(f"set {s} leaves [0, {v})")
     for s in vertex_sets:
         if len(s) != h:
             raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
     overlap = first_overlap(vertex_sets, i)
     if overlap is not None:
         a, b, inter = overlap
-        raise IntersectionTooLarge(
+        raise BadParameter(
             f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
         )
     ranks = []
@@ -167,7 +162,7 @@ def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:
     if h < k + 1 or not 1 <= i <= k:
         raise BadParameter(f"need h >= k+1 and 1 <= i <= k, got h={h}, i={i}, k={k}")
     if h > v:
-        raise HTooLarge(f"clique size {h} exceeds v = {v}")
+        raise BadParameter(f"clique size {h} exceeds v = {v}")
     bits = bits_of_ranks(rank_subset(sub, k) for sub in combinations(range(h), k))
     return Hypergraph(v, k, bits)
 
@@ -191,7 +186,7 @@ def build_isolated_vertex_witness(v: int) -> Hypergraph:
     """Complete graph on {0..v-2} with vertex v-1 isolated; exactly the v-1
     edges at the isolated vertex are sensitive."""
     if v < 4:
-        raise TooSmall("need v >= 4")
+        raise BadParameter("need v >= 4")
     bits = bits_of_ranks(rank_subset(sub, 2) for sub in combinations(range(v - 1), 2))
     return Hypergraph(v, 2, bits)
 
@@ -212,7 +207,7 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
     Even k: a prime power q in (k+1, 2(k+1)), d = i = k/2, clique size
     h = k+1, and ell = floor(log_q v) - 1 so the universe fits in v.
     Odd k: q in (v^t / 2, v^t) for t = 1/(k+1), d = i = (k+1)/2, ell = k.
-    Raises ConstructionUnavailable when no integer ell >= 1 or no prime
+    Raises BadParameter when no integer ell >= 1 or no prime
     power exists in the required interval at this v.
     """
     if k < 2:
@@ -220,7 +215,7 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
     if k % 2 == 0:
         pm = prime_power_in_range(k + 1, 2 * (k + 1))
         if pm is None:
-            raise ConstructionUnavailable(
+            raise BadParameter(
                 f"no prime power strictly between {k + 1} and {2 * (k + 1)}"
             )
         q = pm[0] ** pm[1]
@@ -228,7 +223,7 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
         while q ** (ell + 2) <= v:
             ell += 1
         if ell < 1:
-            raise ConstructionUnavailable(
+            raise BadParameter(
                 f"v = {v} is too small: need v >= q^2 = {q * q}"
             )
         return FamilyWitnessPlan(q=q, d=k // 2, ell=ell, i=k // 2, h=k + 1)
@@ -243,7 +238,7 @@ def plan_family_witness(v: int, k: int) -> FamilyWitnessPlan:
             q = cand
             break
     if q is None:
-        raise ConstructionUnavailable(
+        raise BadParameter(
             f"no usable prime power strictly inside ({vt / 2:.2f}, {vt:.2f})"
         )
     return FamilyWitnessPlan(q=q, d=d, ell=k, i=d, h=k + 1)

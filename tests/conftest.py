@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from hypersens.hypergraphs import rank_subset, subset_table
+from hypersens.hypergraphs import Hypergraph, rank_subset, subset_table
 
 # --- acceptance reporting -------------------------------------------------
 
@@ -198,6 +198,11 @@ def removed_edge_of(member, k):
     k-subset of the member."""
     inside = sorted(combinations(tuple(sorted(member)), k))
     return rank_subset(inside[-1], k)
+
+
+def flip_edge(G, e):
+    """G with the edge of colex rank e toggled."""
+    return Hypergraph(G.v, G.k, G.bits ^ (1 << e))
 
 
 def pairwise_first_overlap(sets, bound):

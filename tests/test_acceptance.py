@@ -40,7 +40,7 @@ from conftest import (
     removed_edge_of,
 )
 
-from hypersens.errors import IntersectionTooLarge
+from hypersens.errors import BadParameter
 from hypersens.families import generate_family, verify_family
 from hypersens.gf import make_field
 from hypersens.hypergraphs import (
@@ -283,7 +283,7 @@ def test_criterion_7_as_stated_packing_route():
         need = (v - 5) * (v - 6) // 6
         try:
             G, count = build_s0_witness(packing.members, v, 2, 1, 3)
-        except IntersectionTooLarge as exc:
+        except BadParameter as exc:
             failures.append(f"v={v}: {exc}")
             continue
         f = IsolatedTriangleProperty(v)

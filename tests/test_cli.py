@@ -175,6 +175,14 @@ def test_scan_budget_breach_warns_and_blanks(capsys):
     assert "budget" in err
 
 
+def test_budget_ms_is_a_scan_flag_only(capsys):
+    code, out, _ = run(
+        capsys, "sens", "--property", "isolated-vertex", "--v", "5",
+        "--input", "zeros", "--budget-ms", "5",
+    )
+    assert code == 2 and out == ""
+
+
 def test_scan_exhaustive_budget_is_domain_error(capsys):
     code, _, err = run(
         capsys, "scan", "--property", "isolated-triangle", "--v-start", "9",
@@ -277,6 +285,12 @@ def _write(tmp_path, name, text):
         ("--input",
          lambda d: _write(d, "s.json", '{"v": 5, "k": 2, "edges": [[1, "a"]]}'),
          "'edges'"),
+        ("--input",
+         lambda d: _write(d, "z.json", '{"v": 5, "k": 0, "edges": [[]]}'),
+         "need 1 <= k <= v, got k=0, v=5"),
+        ("--input",
+         lambda d: _write(d, "b.json", '{"v": true, "k": true, "edges": []}'),
+         "integer 'v'"),
         ("--spec", lambda d: "{", "invalid JSON"),
         ("--spec", lambda d: "[1, 2]", "JSON object"),
         ("--spec", lambda d: '{"variant": "rubinstein"}', "'rubinstein_k'"),
@@ -297,6 +311,8 @@ def _write(tmp_path, name, text):
         "input-json-list",
         "input-hypergraph-int-edge",
         "input-hypergraph-string-vertex",
+        "input-hypergraph-k-zero",
+        "input-hypergraph-boolean-v-k",
         "spec-invalid-json",
         "spec-json-list",
         "spec-rubinstein-without-k",

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import gf_coeffs, gf_oracle_tables, gf_rank, poly_mul
-from hypersens.errors import DegreeOutOfRange, NonPrime, ZeroInverse
+from hypersens.errors import BadParameter
 from hypersens.families import MAX_UNIVERSE
 from hypersens.gf import (
     MAX_ORDER,
@@ -63,18 +63,18 @@ def test_modulus_choice_is_lexicographically_first():
 
 
 def test_composite_characteristic_rejected():
-    with pytest.raises(NonPrime):
+    with pytest.raises(BadParameter, match="4 is not prime"):
         make_field(4, 1)
 
 
 def test_degree_bounds():
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(BadParameter, match="extension degree 0 < 1"):
         make_field(2, 0)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(BadParameter, match=r"field order 2\^21 exceeds"):
         make_field(2, 21)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(BadParameter, match=r"field order 2\^16 exceeds"):
         make_field(2, 16)
-    with pytest.raises(DegreeOutOfRange):
+    with pytest.raises(BadParameter, match=r"field order 65537\^1 exceeds"):
         make_field(65537, 1)
 
 
@@ -164,9 +164,9 @@ def test_arithmetic_examples():
 
 def test_zero_inverse_rejected():
     f = make_field(7, 1)
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(BadParameter, match="0 has no multiplicative inverse"):
         f.inv(0)
-    with pytest.raises(ZeroInverse):
+    with pytest.raises(BadParameter, match="0 has no multiplicative inverse"):
         f.pow(0, -2)
     assert f.pow(0, 0) == 1 and f.pow(0, 3) == 0
 

@@ -8,12 +8,7 @@ from conftest import ascending_bits_oracle, or_ranks_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hypersens.errors import (
-    EdgeOutOfRange,
-    IOutOfRange,
-    VertexOutOfRange,
-    WrongArity,
-)
+from hypersens.errors import BadParameter
 from hypersens.hypergraphs import (
     Hypergraph,
     bits_of_ranks,
@@ -57,23 +52,14 @@ def test_unrank_inverts_rank(S):
 
 
 def test_rank_validation():
-    with pytest.raises(WrongArity):
+    with pytest.raises(BadParameter, match="expected a 2-subset, got 3 vertices"):
         rank_subset({0, 1, 2}, 2)
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(BadParameter, match=r"negative vertex in \[-1, 2\]"):
         rank_subset([-1, 2], 2)
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(BadParameter, match=r"repeated vertex in \[2, 2\]"):
         rank_subset([2, 2], 2)
-    with pytest.raises(EdgeOutOfRange):
+    with pytest.raises(BadParameter, match=r"rank 10 outside \[0, C\(5,2\)\)"):
         unrank_subset(10, 5, 2)
-
-
-def test_flip_edge_involution():
-    G = Hypergraph.empty(5, 2)
-    G1 = G.flip_edge(3)
-    assert G1.edge_count == 1
-    assert G1.flip_edge(3) == G
-    with pytest.raises(EdgeOutOfRange):
-        G.flip_edge(10)
 
 
 @given(st.lists(st.integers(0, (1 << 20) - 1), max_size=40))
@@ -87,7 +73,7 @@ def test_bits_of_ranks_cases():
                   [big << 4]):
         assert bits_of_ranks(ranks) == or_ranks_oracle(ranks)
     assert bits_of_ranks(iter([300_000, 2])) == (1 << 300_000) | 4
-    with pytest.raises(EdgeOutOfRange):
+    with pytest.raises(BadParameter, match="negative edge id -1"):
         bits_of_ranks([3, -1])
 
 
@@ -111,7 +97,7 @@ def test_ranks_of_bits_cases():
     # 512 set bits of width 512 is the most work the codec does bit by bit
     for width in (1, 512, 513, wide):
         assert ranks_of_bits((1 << width) - 1) == list(range(width))
-    with pytest.raises(EdgeOutOfRange):
+    with pytest.raises(BadParameter, match="a bitset must not be negative"):
         ranks_of_bits(-1)
 
 
@@ -149,7 +135,7 @@ def test_relabel_round_trip_and_count():
             H = G.relabel(sigma)
             assert H.edge_count == G.edge_count
             assert H.relabel(inv) == G
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(BadParameter, match="sigma is not a permutation"):
         Hypergraph.empty(4, 2).relabel([0, 0, 1, 2])
 
 
@@ -163,13 +149,13 @@ def test_json_round_trips():
 
 
 def test_constructor_validation():
-    with pytest.raises(WrongArity):
+    with pytest.raises(BadParameter, match="need 1 <= k <= v, got k=4, v=3"):
         Hypergraph(3, 4, 0)
-    with pytest.raises(EdgeOutOfRange):
+    with pytest.raises(BadParameter, match="bitset wider than the edge-slot count"):
         Hypergraph(4, 2, 1 << 6)
-    with pytest.raises(WrongArity):
+    with pytest.raises(BadParameter, match=r"edge \(0, 1, 2\) is not a 2-subset"):
         Hypergraph.from_edges(5, 2, [(0, 1, 2)])
-    with pytest.raises(VertexOutOfRange):
+    with pytest.raises(BadParameter, match=r"edge \(0, 5\) has a vertex >= 5"):
         Hypergraph.from_edges(5, 2, [(0, 5)])
 
 

@@ -7,16 +7,9 @@ import pathlib
 from itertools import combinations
 
 import pytest
-from conftest import removed_edge_of
+from conftest import flip_edge, removed_edge_of
 
-from hypersens.errors import (
-    BadParameter,
-    ConstructionUnavailable,
-    HTooLarge,
-    IntersectionTooLarge,
-    SetOutOfRange,
-    TooSmall,
-)
+from hypersens.errors import BadParameter
 from hypersens.families import generate_family, trim_sets
 from hypersens.gf import make_field
 from hypersens.hypergraphs import Hypergraph, boundary_count, rank_subset
@@ -59,7 +52,7 @@ class TestTrianglePacking:
         assert len(triangle_packing(3).members) == 1
         assert len(triangle_packing(9).members) == 12
         assert len(triangle_packing(7).members) >= 1  # falls back to v' = 3
-        with pytest.raises(TooSmall):
+        with pytest.raises(BadParameter, match="triangle packing needs v >= 3"):
             triangle_packing(2)
 
     @pytest.mark.parametrize("v", [3, 9, 15, 21, 27, 33])
@@ -87,7 +80,7 @@ class TestTrianglePacking:
 class TestCliquePacking:
     def test_single_clique(self):
         assert clique_packing(4, 3).members == ((0, 1, 2, 3),)
-        with pytest.raises(TooSmall):
+        with pytest.raises(BadParameter, match=r"clique packing needs v >= k\+1 = 4"):
             clique_packing(3, 3)
 
     @pytest.mark.parametrize("k", [-1, 0, 1])
@@ -163,28 +156,34 @@ class TestS0Witness:
         # every removed edge is individually sensitive
         vertex_sets = [tuple(e - 1 for e in s) for s in fam.sets]
         for s in vertex_sets:
-            flipped = G.flip_edge(removed_edge_of(s, 3))
+            flipped = flip_edge(G, removed_edge_of(s, 3))
             assert spec.value(flipped) == 1
         tuples = enumerate_sensitive_tuples(spec, G)
         assert len(tuples) >= count
 
     def test_precondition_validation(self):
-        with pytest.raises(IntersectionTooLarge):
+        with pytest.raises(BadParameter, match="sets #0 and #1 share 1 >= i = 1"):
             build_s0_witness([(0, 1, 2), (2, 3, 4)], 6, 2, 1, 3)
         # the first offending pair a < b, by a and then b, is named
-        with pytest.raises(IntersectionTooLarge, match="sets #0 and #2 share 1 "):
+        with pytest.raises(BadParameter, match="sets #0 and #2 share 1 "):
             build_s0_witness([(0, 1, 2), (3, 4, 5), (2, 6, 7), (1, 3, 8)], 9, 2, 1, 3)
         # #1/#2 is met first when scanning by the later set; #0/#3 comes
         # first by a and then b
-        with pytest.raises(IntersectionTooLarge, match="sets #0 and #3 share 1 "):
+        with pytest.raises(BadParameter, match="sets #0 and #3 share 1 "):
             build_s0_witness([(0, 1, 2), (3, 4, 5), (3, 6, 7), (0, 8, 9)], 10, 2, 1, 3)
         # with i = 0 even disjoint sets share too much
-        with pytest.raises(IntersectionTooLarge, match="#0 and #1 share 0 >= i = 0"):
+        with pytest.raises(BadParameter, match="#0 and #1 share 0 >= i = 0"):
             build_s0_witness([(0, 1, 2), (3, 4, 5), (6, 7, 8)], 9, 2, 0, 3)
-        with pytest.raises(SetOutOfRange):
+        with pytest.raises(BadParameter, match=r"set \(0, 1, 9\) leaves \[0, 6\)"):
             build_s0_witness([(0, 1, 9)], 6, 2, 1, 3)
-        with pytest.raises(BadParameter):
+        with pytest.raises(BadParameter, match="has size 2, expected h = 3"):
             build_s0_witness([(0, 1)], 6, 2, 1, 3)
+        # no isolated-clique property has h < k+1: below it the sets are
+        # too small to hold an edge, and at h = k a placed set has none left
+        with pytest.raises(BadParameter, match=r"need h >= k\+1, got h=2, k=3"):
+            build_s0_witness([(0, 1)], 5, 3, 1, 2)
+        with pytest.raises(BadParameter, match=r"need h >= k\+1, got h=3, k=3"):
+            build_s0_witness([(0, 1, 2)], 5, 3, 1, 3)
 
     def test_sharing_below_i_is_allowed(self):
         G, count = build_s0_witness([(0, 1, 2, 3), (3, 4, 5, 6)], 7, 3, 2, 4)
@@ -231,7 +230,7 @@ class TestS1Witness:
         assert set(sensitivity_at(spec, w).sensitive_bits) == expected
 
     def test_h_too_large(self):
-        with pytest.raises(HTooLarge):
+        with pytest.raises(BadParameter, match="clique size 5 exceeds v = 4"):
             build_s1_witness(4, 2, 1, 5)
 
     @pytest.mark.parametrize(
@@ -252,10 +251,10 @@ class TestIsolatedVertexWitness:
         w = build_isolated_vertex_witness(5)
         f = IsolatedVertexProperty(5)
         for pair in combinations(range(4), 2):
-            assert f.value(w.flip_edge(rank_subset(pair, 2))) == 1
+            assert f.value(flip_edge(w, rank_subset(pair, 2))) == 1
 
     def test_too_small(self):
-        with pytest.raises(TooSmall):
+        with pytest.raises(BadParameter, match="need v >= 4"):
             build_isolated_vertex_witness(3)
 
 
@@ -270,7 +269,7 @@ class TestFamilyWitnessPlan:
         assert report.s_at_x >= count
 
     def test_even_k2_needs_16_vertices(self):
-        with pytest.raises(ConstructionUnavailable):
+        with pytest.raises(BadParameter, match=r"v = 15 is too small: need v >= q\^2 = 16"):
             plan_family_witness(15, 2)
 
     def test_odd_k3(self):
@@ -282,7 +281,7 @@ class TestFamilyWitnessPlan:
         assert len(tuples) >= count
 
     def test_odd_k3_unavailable_at_tiny_v(self):
-        with pytest.raises(ConstructionUnavailable):
+        with pytest.raises(BadParameter, match="no usable prime power strictly inside"):
             plan_family_witness(30, 3)
 
 
