@@ -18,7 +18,11 @@ g (found by an order test against the prime factors of q - 1):
 and every operation is a lookup: a * b = g^(log a + log b) and, for nonzero
 a and b, a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The
 polynomial product appears only in the table build, as the matrix of
-"multiply by c" on coefficient vectors.
+"multiply by c" on coefficient vectors.  The tables are also kept as int64
+arrays (-1 for log 0 and for a zero 1 + g^j), so FieldPoly.eval takes an
+array of points as well as one point and runs each Horner step over all of
+them at once; generate_family evaluates each coordinate polynomial that way,
+once, at every field element.
 
 q <= 2^15 is the largest order a set family can use (q^(ell+1) must fit its
 2^30 universe with ell >= 1), and it bounds the table build.  Primality and
@@ -131,6 +135,13 @@ class Field:
         self._exp = exp + exp  # log a + log b < 2(q - 1) needs no reduction
         # 1 + a changes only the constant digit; None marks 1 + g^j = 0
         self._zech = [log[a - a % p + (a + 1) % p] for a in exp]
+        # the same tables as arrays, for evaluation at many points; -1 marks
+        # log 0 and a zero 1 + g^j
+        self._log_array = np.array([-1] + log[1:], dtype=np.int64)
+        self._exp_array = np.array(self._exp, dtype=np.int64)
+        self._zech_array = np.array(
+            [-1 if z is None else z for z in self._zech], dtype=np.int64
+        )
 
     def _times(self, c) -> np.ndarray:
         """The matrix of multiplication by c on digit rows: row i holds the
@@ -223,10 +234,31 @@ class FieldPoly:
     def from_ranks(cls, field: Field, ranks) -> "FieldPoly":
         return cls(field, tuple(ranks))
 
-    def eval(self, x: int) -> int:
-        """Horner evaluation."""
+    def eval(self, x):
+        """Horner evaluation at the element x, or at every element of an int
+        numpy array x, returned as an array of the same shape."""
+        if isinstance(x, np.ndarray):
+            return self._eval_array(x)
         add, mul = self.field.add, self.field.mul
         acc = 0
         for c in reversed(self.coeffs):
             acc = add(mul(acc, x), c)
+        return acc
+
+    def _eval_array(self, x: np.ndarray) -> np.ndarray:
+        """Horner over the array tables: a step multiplies by x as
+        exp[log acc + log x] and adds c as exp[log acc + zech[log c - log acc]],
+        with zero operands masked out."""
+        f = self.field
+        log, exp, zech = f._log_array, f._exp_array, f._zech_array
+        log_x = log[x]
+        acc = np.zeros(x.shape, dtype=np.int64)
+        for c in reversed(self.coeffs):
+            log_acc = log[acc]
+            acc = np.where((log_acc >= 0) & (log_x >= 0), exp[log_acc + log_x], 0)
+            if c:
+                log_acc = log[acc]
+                z = zech[(f._log[c] - log_acc) % (f.order - 1)]
+                total = np.where(z >= 0, exp[log_acc + z], 0)
+                acc = np.where(log_acc >= 0, total, c)
         return acc

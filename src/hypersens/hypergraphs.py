@@ -8,8 +8,15 @@ rank i (combinatorial number system):
 Colex was chosen over lex because the rank formula does not involve v, so
 the bit layout is stable when hypergraphs on different vertex counts are
 compared.  Vertices are 0-based in memory and 1-based in JSON.
+
+Small (v, k) decode through a table of every k-subset.  Past it, one cached
+array of binomial columns, C(n, j+1) for n < v, serves both directions on
+whole arrays: a rank is one gather and sum over a row of vertices, and the
+vertices of many ranks come from k searchsorted calls, largest vertex
+first, each finding the largest n with C(n, j+1) <= the rank left.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,13 +75,55 @@ def subset_table(v: int, k: int):
 _TABLE_LIMIT = 1 << 18
 
 
+_INT64_MAX = (1 << 63) - 1
+
+
+@lru_cache(maxsize=None)
+def _colex_columns(v: int, k: int) -> np.ndarray:
+    """The (k, v) int64 table holding C(n, j+1) at [j, n], clipped at
+    2^63 - 1.  No term of a rank below 2^63 is clipped, so ranking and
+    unranking through the table are exact at any (v, k) for such ranks,
+    and every rank of a bitset that fits in memory is one."""
+    return np.array(
+        [[min(math.comb(n, j + 1), _INT64_MAX) for n in range(v)] for j in range(k)],
+        dtype=np.int64,
+    )
+
+
+def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:
+    """Colex ranks of the sorted vertex rows along the last axis of an int
+    array, in one gather from _colex_columns: int64 while C(v, k) < 2^63,
+    exact Python ints (object dtype) beyond."""
+    cols = _colex_columns(v, k)
+    if math.comb(v, k) > _INT64_MAX:
+        cols = cols.astype(object)
+        for j, n in zip(*np.nonzero(cols == _INT64_MAX)):
+            cols[j, n] = math.comb(int(n), int(j) + 1)
+    return cols[np.arange(k), rows].sum(axis=-1)
+
+
 def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
-    """Present edges of a bitset as sorted vertex tuples, ascending rank."""
+    """Present edges of a bitset as sorted vertex tuples, ascending rank.
+
+    Past the subset table, all ranks are unranked at once, one
+    searchsorted per vertex position from the largest down: vertex j is
+    the largest n with C(n, j+1) <= the rank left, which is then reduced
+    by C(n, j+1), as in unrank_subset."""
     ranks = ranks_of_bits(bits)
-    if math.comb(v, k) <= _TABLE_LIMIT:
+    slots = math.comb(v, k)
+    if slots <= _TABLE_LIMIT:
         subs = subset_table(v, k)[0]
         return [subs[r] for r in ranks]
-    return [unrank_subset(r, v, k) for r in ranks]
+    if ranks and ranks[-1] >= slots:
+        bad = ranks[bisect.bisect_left(ranks, slots)]
+        raise BadParameter(f"rank {bad} outside [0, C({v},{k}))")
+    cols = _colex_columns(v, k)
+    rest = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(ranks), k), dtype=np.int64)
+    for j in range(k - 1, -1, -1):
+        out[:, j] = np.searchsorted(cols[j], rest, side="right") - 1
+        rest -= cols[j, out[:, j]]
+    return list(map(tuple, out.tolist()))
 
 
 # the codec below handles a bitset one bit at a time while its set bits
@@ -89,18 +138,26 @@ def ranks_of_bits(bits: int) -> list[int]:
     in time linear in the width plus the set bits (see _BIT_LOOP_WORK)."""
     if bits < 0:
         raise BadParameter("a bitset must not be negative")
-    if bits.bit_count() * bits.bit_length() <= _BIT_LOOP_WORK:
+    width = bits.bit_length()
+    # the set bits are at least one, so a wide int fails the product test
+    # without being counted
+    if width <= _BIT_LOOP_WORK and bits.bit_count() * width <= _BIT_LOOP_WORK:
         out = []
         while bits:
             low = bits & -bits
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
-    data = bits.to_bytes((bits.bit_length() + 7) >> 3, "little")
-    buf = np.frombuffer(data, np.uint8)
-    nonzero = np.flatnonzero(buf)
-    byte, bit = np.nonzero(np.unpackbits(buf[nonzero, None], axis=1, bitorder="little"))
-    return (nonzero[byte] * 8 + bit).tolist()
+    # the nonzero 64-bit words first, then the nonzero bytes of those alone
+    data = bits.to_bytes(((width + 63) >> 6) << 3, "little")
+    words = np.flatnonzero(np.frombuffer(data, "<u8"))
+    octets = np.frombuffer(data, np.uint8).reshape(-1, 8)[words].ravel()
+    nonzero = np.flatnonzero(octets)
+    offsets = words[nonzero >> 3] * 8 + (nonzero & 7)  # of those bytes in data
+    byte, bit = np.nonzero(
+        np.unpackbits(octets[nonzero, None], axis=1, bitorder="little")
+    )
+    return (offsets[byte] * 8 + bit).tolist()
 
 
 def bits_of_ranks(ranks) -> int:

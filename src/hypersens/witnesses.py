@@ -18,10 +18,18 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import BadParameter
 from .families import SetFamily, first_overlap, generate_family, trim_sets
 from .gf import make_field, prime_power, prime_power_in_range
-from .hypergraphs import Hypergraph, bits_of_ranks, boundary_count, rank_subset
+from .hypergraphs import (
+    Hypergraph,
+    bits_of_ranks,
+    boundary_count,
+    colex_ranks,
+    rank_subset,
+)
 from .properties import IsolatedCliqueProperty
 
 
@@ -148,12 +156,18 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
         raise BadParameter(
             f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
         )
-    ranks = []
-    for s in vertex_sets:
-        inside = sorted(combinations(s, k))
-        removed = inside[-1]
-        ranks.extend(rank_subset(sub, k) for sub in inside if sub != removed)
-    return Hypergraph(v, k, bits_of_ranks(ranks)), len(vertex_sets)
+    # every set's k-subsets in lex order, which puts the removed one last;
+    # a set with a repeated vertex may hold it more than once
+    inside = np.array(vertex_sets, dtype=np.int64).reshape(len(vertex_sets), h)[
+        :, list(combinations(range(h), k))
+    ]
+    kept = (inside != inside[:, -1:]).any(axis=2)
+    repeats = (inside[..., 1:] == inside[..., :-1]).any(axis=2) & kept
+    if repeats.any():
+        a, c = np.argwhere(repeats)[0]
+        raise BadParameter(f"repeated vertex in {tuple(inside[a, c].tolist())}")
+    ranks = colex_ranks(v, k, inside[kept])
+    return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), len(vertex_sets)
 
 
 def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from hypersens.gf import FieldPoly
 from hypersens.hypergraphs import Hypergraph, rank_subset, subset_table
 
 # --- acceptance reporting -------------------------------------------------
@@ -218,6 +219,20 @@ def pairwise_first_overlap(sets, bound):
     return None
 
 
+def s0_bits_oracle(vertex_sets, k):
+    """Reference for the ranking in `witnesses.build_s0_witness`: each set's
+    k-subsets in lex order minus the lex-largest, one `rank_subset` call
+    each, OR-ed into a bitset."""
+    bits = 0
+    for s in vertex_sets:
+        inside = sorted(combinations(tuple(sorted(s)), k))
+        removed = inside[-1]
+        for sub in inside:
+            if sub != removed:
+                bits |= 1 << rank_subset(sub, k)
+    return bits
+
+
 def ascending_bits_oracle(bits):
     """Reference for `hypergraphs.ranks_of_bits`: peel off the lowest set
     bit until none is left."""
@@ -276,3 +291,28 @@ def gf_oracle_tables(field):
             prod[:, :, top - m + j] -= c * fj
     mul = prod[:, :, :m] % p @ place
     return add, mul
+
+
+def scalar_family_sets(field, d, ell, limit=None):
+    """Reference for `families.generate_family`: tuple t's coefficient ranks
+    are the big-endian base-q digits of t, and each of its q members is
+    encoded from scalar `FieldPoly.eval` values, one point at a time."""
+    q = field.order
+    total = q ** (d * ell)
+    count = total if limit is None else min(limit, total)
+    qpow = [q**j for j in range(ell + 1)]
+    sets = []
+    for t in range(count):
+        digits = [(t // q ** (d * ell - 1 - j)) % q for j in range(d * ell)]
+        polys = [
+            FieldPoly.from_ranks(field, digits[c * d : (c + 1) * d])
+            for c in range(ell)
+        ]
+        members = []
+        for x in range(q):
+            enc = 1 + x
+            for j, f in enumerate(polys, start=1):
+                enc += f.eval(x) * qpow[j]
+            members.append(enc)
+        sets.append(tuple(sorted(members)))
+    return tuple(sets)

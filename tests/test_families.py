@@ -8,12 +8,14 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from conftest import pairwise_first_overlap
-from hypothesis import example, given
+from conftest import pairwise_first_overlap, scalar_family_sets
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypersens import families
 from hypersens.errors import BadParameter
 from hypersens.families import (
+    MAX_UNIVERSE,
     SetFamily,
     first_overlap,
     generate_family,
@@ -58,6 +60,31 @@ def test_family_size_is_q_to_d_ell(p, m, d, ell):
     assert verify_family(fam).ok
     # distinct polynomial tuples yield distinct sets
     assert len(set(fam.sets)) == len(fam.sets)
+
+
+_FIELD_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27, 256)
+# members the scalar oracle encodes in one example
+_ORACLE_MEMBERS = 1 << 12
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_generate_family_matches_scalar_oracle(data):
+    q = data.draw(st.sampled_from(_FIELD_ORDERS), label="q")
+    d = data.draw(st.integers(1, min(q, 3)), label="d")
+    ell = data.draw(
+        st.integers(1, 3).filter(lambda e: q ** (e + 1) <= MAX_UNIVERSE), label="ell"
+    )
+    total = q ** (d * ell)
+    most = min(total, _ORACLE_MEMBERS // q)
+    limits = st.sampled_from([0, 1]) | st.integers(0, most)
+    if total <= most:
+        limits |= st.none()
+    limit = data.draw(limits, label="limit")
+    field = make_field(*prime_power(q))
+    fam = generate_family(field, d, ell, limit)
+    assert fam.sets == scalar_family_sets(field, d, ell, limit)
+    assert all(type(e) is int for s in fam.sets for e in s)
 
 
 def test_limit_yields_a_deterministic_prefix():
@@ -110,8 +137,50 @@ _SETS = st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=12)
 @example(sets=[[1, 2, 3], [4, 5, 6], [1, 2, 3]], bound=4)
 @example(sets=[[1, 1, 2], [1, 2, 2]], bound=2)  # repeats count once
 @example(sets=[[0, 1, 2], [3, 4, 5], [3, 6, 7], [0, 8, 9]], bound=1)
+# many small sets over a tiny universe: the bound-subset index
+@example(sets=[list(p) for p in combinations(range(5), 2)] * 2, bound=2)
+@example(sets=[list(p) for p in combinations(range(6), 3)], bound=2)
+@example(sets=[list(p) for p in combinations(range(6), 3)], bound=3)
+# a few large sets: the element-holder index
+@example(sets=[list(range(0, 40)), list(range(38, 80)), list(range(79, 120))], bound=2)
+@example(sets=[list(range(0, 40)), list(range(40, 80)), list(range(1, 121, 3))], bound=3)
 def test_first_overlap_matches_pairwise_oracle(sets, bound):
     assert first_overlap(sets, bound) == pairwise_first_overlap(sets, bound)
+
+
+@pytest.mark.parametrize(
+    "sets,bound,index",
+    [
+        ([list(p) for p in combinations(range(6), 3)], 2, "subsets"),
+        ([list(range(0, 40)), list(range(38, 80)), list(range(79, 120))], 2, "holders"),
+        (trim_sets(generate_family(make_field(2, 2), 2, 3), 4).sets, 2, "subsets"),
+        (generate_family(make_field(2, 8), 2, 1, 150).sets, 2, "holders"),
+    ],
+    ids=["triples-of-6", "three-runs", "gf4-witness-family", "gf256-prefix"],
+)
+def test_first_overlap_builds_the_cheaper_index(monkeypatch, sets, bound, index):
+    built = []
+    for name in ("holders", "subsets"):
+        inner = getattr(families, f"_first_overlap_by_{name}")
+        monkeypatch.setattr(
+            families,
+            f"_first_overlap_by_{name}",
+            lambda *args, name=name, inner=inner: built.append(name) or inner(*args),
+        )
+    assert first_overlap(sets, bound) == pairwise_first_overlap(sets, bound)
+    assert built == [index]
+
+
+def test_first_overlap_finds_a_planted_late_overlap():
+    # a 600-set prefix of the v = 300, k = 3 witness family, where no two
+    # sets share 2 elements, then set #598 planted with 2 elements of #417
+    sets = list(trim_sets(generate_family(make_field(2, 2), 2, 3), 4).sets[:600])
+    assert first_overlap(sets, 2) is None
+    fresh = [e for e in sets[598] if e not in sets[417]]
+    sets[598] = tuple(sorted(sets[417][:2] + tuple(fresh[:2])))
+    found = first_overlap(sets, 2)
+    assert found is not None and found[1] == 598
+    assert found == pairwise_first_overlap(sets, 2)
 
 
 def test_first_overlap_matches_oracle_on_generated_families():

@@ -193,18 +193,20 @@ def test_eval_poly_examples():
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
 def test_eval_poly_matches_power_sum(p, m):
-    """Horner agrees with naive sum of c_j * x^j on every (poly, x), d <= 3."""
+    """Horner agrees with naive sum of c_j * x^j on every (poly, x), d <= 3,
+    at one point and over the array of all points."""
     f = make_field(p, m)
     q = f.order
     for d in range(1, 4):
         for idx in range(q**d):
             ranks = [(idx // q**j) % q for j in range(d)]
             poly = FieldPoly.from_ranks(f, ranks)
+            at_all = poly.eval(np.arange(q))
             for x in range(q):
                 acc = 0
                 for j, c in enumerate(poly.coeffs):
                     acc = f.add(acc, f.mul(c, f.pow(x, j)))
-                assert poly.eval(x) == acc
+                assert poly.eval(x) == acc == at_all[x]
 
 
 def test_prime_power_in_range_examples():

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from conftest import ascending_bits_oracle, or_ranks_oracle
 from hypothesis import given
@@ -13,6 +14,7 @@ from hypersens.hypergraphs import (
     Hypergraph,
     bits_of_ranks,
     boundary_count,
+    colex_ranks,
     degrees,
     edges_of_bits,
     rank_subset,
@@ -77,9 +79,13 @@ def test_bits_of_ranks_cases():
         bits_of_ranks([3, -1])
 
 
-# widths on both sides of the codec's one-bit loop, up to past 2^20 bits
-_codec_ranks = st.sampled_from([20, 1 << 12, (1 << 21) + 5]).flatmap(
+# widths on both sides of the codec's one-bit loop, up to past 2^22 bits,
+# and a lone set bit in the last, partial, 64-bit word of a wide int
+_CODEC_WIDTHS = [20, 1 << 12, (1 << 21) + 5, (1 << 22) + 63]
+_codec_ranks = st.sampled_from(_CODEC_WIDTHS).flatmap(
     lambda width: st.lists(st.integers(0, width), max_size=80)
+) | st.sampled_from(_CODEC_WIDTHS[2:]).flatmap(
+    lambda width: st.lists(st.integers(width & ~63, width), min_size=1, max_size=1)
 )
 
 
@@ -101,12 +107,39 @@ def test_ranks_of_bits_cases():
         ranks_of_bits(-1)
 
 
-@given(st.lists(st.integers(0, math.comb(120, 3) - 1), max_size=60))
-def test_edges_of_bits_unranks_each_rank_past_the_table(ranks):
-    v, k = 120, 3  # C(120, 3) = 280,840 slots, too many for subset_table
+# every C(v, k) here is past subset_table's 2^18 slots
+@pytest.mark.parametrize("v,k", [(120, 3), (300, 3), (60, 4), (40, 5), (800, 2)])
+@given(data=st.data())
+def test_edges_of_bits_unranks_each_rank_past_the_table(v, k, data):
+    last = math.comb(v, k) - 1
+    ranks = data.draw(st.lists(st.integers(0, last), max_size=60)) + [0, last]
+    edges = edges_of_bits(v, k, bits_of_ranks(ranks))
+    assert edges == [unrank_subset(r, v, k) for r in sorted(set(ranks))]
+    assert colex_ranks(v, k, np.array(edges)).tolist() == sorted(set(ranks))
+
+
+@given(st.lists(st.sets(st.integers(0, 25), min_size=12, max_size=12), max_size=30))
+def test_edges_of_bits_past_int64_slot_counts(subsets):
+    # C(400, 12) >= 2^63, so the colex table is clipped; these edges on
+    # vertices 0..25 have ranks below C(26, 12)
+    v, k = 400, 12
+    ranks = sorted({rank_subset(S, k) for S in subsets} | {0})
     assert edges_of_bits(v, k, bits_of_ranks(ranks)) == [
-        unrank_subset(r, v, k) for r in sorted(set(ranks))
+        unrank_subset(r, v, k) for r in ranks
     ]
+
+
+def test_colex_ranks_stay_exact_past_int64():
+    top = tuple(range(388, 400))  # the largest rank of C(400, 12)
+    rows = np.array([top, tuple(range(12)), tuple(range(14, 26))])
+    ranks = colex_ranks(400, 12, rows)
+    assert ranks.tolist() == [math.comb(400, 12) - 1, 0, rank_subset(rows[2], 12)]
+    assert ranks[0] > (1 << 63)
+
+
+def test_edges_of_bits_rejects_a_rank_past_the_slots():
+    with pytest.raises(BadParameter, match=r"rank 280840 outside \[0, C\(120,3\)\)"):
+        edges_of_bits(120, 3, 1 << math.comb(120, 3))
 
 
 def test_boundary_count_examples_and_brute_force():

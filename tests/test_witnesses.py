@@ -4,10 +4,11 @@ import hashlib
 import json
 import math
 import pathlib
+import random
 from itertools import combinations
 
 import pytest
-from conftest import flip_edge, removed_edge_of
+from conftest import flip_edge, removed_edge_of, s0_bits_oracle
 
 from hypersens.errors import BadParameter
 from hypersens.families import generate_family, trim_sets
@@ -184,6 +185,42 @@ class TestS0Witness:
             build_s0_witness([(0, 1)], 5, 3, 1, 2)
         with pytest.raises(BadParameter, match=r"need h >= k\+1, got h=3, k=3"):
             build_s0_witness([(0, 1, 2)], 5, 3, 1, 3)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ranks_match_the_rank_subset_loop(self, k, seed):
+        rng = random.Random(seed)
+        v, h, i = rng.randint(k + 4, 40), rng.randint(k + 1, k + 3), rng.randint(1, k)
+        sets = []
+        for _ in range(40):
+            s = set(rng.sample(range(v), h))
+            if all(len(s & t) < i for t in sets):
+                sets.append(s)
+        G, count = build_s0_witness(sets, v, k, i, h)
+        assert count == len(sets) and G.bits == s0_bits_oracle(sets, k)
+
+    def test_ranks_match_the_rank_subset_loop_past_int64(self):
+        # C(400, 12) >= 2^63: two disjoint 13-sets on the vertices 0..25
+        sets = [range(13), range(13, 26)]
+        G, count = build_s0_witness(sets, 400, 12, 1, 13)
+        assert count == 2 and G.bits == s0_bits_oracle(sets, 12)
+        assert G.edge_count == 2 * 12
+
+    def test_ranks_match_the_rank_subset_loop_on_the_v300_family(self):
+        plan = plan_family_witness(300, 3)
+        fam = trim_sets(generate_family(make_field(2, 2), plan.d, plan.ell), plan.h)
+        G, count = build_s0_witness(fam, 300, 3, plan.i, plan.h)
+        vertex_sets = [[e - 1 for e in s] for s in fam.sets]  # all 256 used
+        assert count == 4096 and G.bits == s0_bits_oracle(vertex_sets, 3)
+
+    def test_repeated_vertices(self):
+        # only k-subsets other than the removed one are ranked, so a
+        # repeat is an error only where such a subset holds it
+        with pytest.raises(BadParameter, match=r"repeated vertex in \(0, 2, 2\)"):
+            build_s0_witness([(0, 2, 2, 3)], 5, 3, 1, 4)
+        for sets, k, h in [([(0, 2, 2)], 2, 3), ([(3, 3)], 1, 2), ([(1, 4, 4)], 1, 3)]:
+            G, count = build_s0_witness(sets, 5, k, 1, h)
+            assert G.bits == s0_bits_oracle(sets, k)
 
     def test_sharing_below_i_is_allowed(self):
         G, count = build_s0_witness([(0, 1, 2, 3), (3, 4, 5, 6)], 7, 3, 2, 4)
