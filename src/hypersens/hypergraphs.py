@@ -83,11 +83,14 @@ def _colex_columns(v: int, k: int) -> np.ndarray:
     """The (k, v) int64 table holding C(n, j+1) at [j, n], clipped at
     2^63 - 1.  No term of a rank below 2^63 is clipped, so ranking and
     unranking through the table are exact at any (v, k) for such ranks,
-    and every rank of a bitset that fits in memory is one."""
-    return np.array(
+    and every rank of a bitset that fits in memory is one.  The cached
+    array is read-only: every later lookup for (v, k) shares it."""
+    cols = np.array(
         [[min(math.comb(n, j + 1), _INT64_MAX) for n in range(v)] for j in range(k)],
         dtype=np.int64,
     )
+    cols.setflags(write=False)
+    return cols
 
 
 def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:

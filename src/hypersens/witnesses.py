@@ -150,23 +150,19 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
     for s in vertex_sets:
         if len(s) != h:
             raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
+        if len(set(s)) != h:
+            raise BadParameter(f"repeated vertex in {s}")
     overlap = first_overlap(vertex_sets, i)
     if overlap is not None:
         a, b, inter = overlap
         raise BadParameter(
             f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
         )
-    # every set's k-subsets in lex order, which puts the removed one last;
-    # a set with a repeated vertex may hold it more than once
+    # every set's k-subsets in lex order but the last, the removed one
     inside = np.array(vertex_sets, dtype=np.int64).reshape(len(vertex_sets), h)[
-        :, list(combinations(range(h), k))
+        :, list(combinations(range(h), k))[:-1]
     ]
-    kept = (inside != inside[:, -1:]).any(axis=2)
-    repeats = (inside[..., 1:] == inside[..., :-1]).any(axis=2) & kept
-    if repeats.any():
-        a, c = np.argwhere(repeats)[0]
-        raise BadParameter(f"repeated vertex in {tuple(inside[a, c].tolist())}")
-    ranks = colex_ranks(v, k, inside[kept])
+    ranks = colex_ranks(v, k, inside.reshape(-1, k))
     return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), len(vertex_sets)
 
 

@@ -111,11 +111,21 @@ def test_ranks_of_bits_cases():
 @pytest.mark.parametrize("v,k", [(120, 3), (300, 3), (60, 4), (40, 5), (800, 2)])
 @given(data=st.data())
 def test_edges_of_bits_unranks_each_rank_past_the_table(v, k, data):
-    last = math.comb(v, k) - 1
-    ranks = data.draw(st.lists(st.integers(0, last), max_size=60)) + [0, last]
+    ranks = data.draw(st.lists(st.integers(0, math.comb(v, k) - 1), max_size=60))
     edges = edges_of_bits(v, k, bits_of_ranks(ranks))
     assert edges == [unrank_subset(r, v, k) for r in sorted(set(ranks))]
-    assert colex_ranks(v, k, np.array(edges)).tolist() == sorted(set(ranks))
+    if edges:
+        assert colex_ranks(v, k, np.array(edges)).tolist() == sorted(set(ranks))
+
+
+@pytest.mark.parametrize("v,k", [(120, 3), (300, 3), (60, 4), (40, 5), (800, 2)])
+def test_edges_of_bits_first_and_last_rank_past_the_table(v, k):
+    assert edges_of_bits(v, k, 0) == []
+    last = math.comb(v, k) - 1
+    edges = edges_of_bits(v, k, bits_of_ranks([0, last]))
+    assert edges == [tuple(range(k)), tuple(range(v - k, v))]
+    assert edges == [unrank_subset(0, v, k), unrank_subset(last, v, k)]
+    assert colex_ranks(v, k, np.array(edges)).tolist() == [0, last]
 
 
 @given(st.lists(st.sets(st.integers(0, 25), min_size=12, max_size=12), max_size=30))

@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -213,14 +214,17 @@ class TestS0Witness:
         vertex_sets = [[e - 1 for e in s] for s in fam.sets]  # all 256 used
         assert count == 4096 and G.bits == s0_bits_oracle(vertex_sets, 3)
 
-    def test_repeated_vertices(self):
-        # only k-subsets other than the removed one are ranked, so a
-        # repeat is an error only where such a subset holds it
-        with pytest.raises(BadParameter, match=r"repeated vertex in \(0, 2, 2\)"):
-            build_s0_witness([(0, 2, 2, 3)], 5, 3, 1, 4)
-        for sets, k, h in [([(0, 2, 2)], 2, 3), ([(3, 3)], 1, 2), ([(1, 4, 4)], 1, 3)]:
-            G, count = build_s0_witness(sets, 5, k, 1, h)
-            assert G.bits == s0_bits_oracle(sets, k)
+    @pytest.mark.parametrize(
+        "sets,k,h",
+        [([(0, 2, 2, 3)], 3, 4), ([(0, 2, 2)], 2, 3), ([(3, 3)], 1, 2),
+         ([(0, 1, 2), (1, 4, 4)], 1, 3)],
+    )
+    def test_repeated_vertices_are_rejected(self, sets, k, h):
+        # a repeat in the removed k-subset alone would place a set with
+        # no near-clique at all
+        bad = re.escape(str(tuple(sorted(sets[-1]))))
+        with pytest.raises(BadParameter, match=f"repeated vertex in {bad}"):
+            build_s0_witness(sets, 5, k, 1, h)
 
     def test_sharing_below_i_is_allowed(self):
         G, count = build_s0_witness([(0, 1, 2, 3), (3, 4, 5, 6)], 7, 3, 2, 4)
