@@ -9,11 +9,14 @@ Colex was chosen over lex because the rank formula does not involve v, so
 the bit layout is stable when hypergraphs on different vertex counts are
 compared.  Vertices are 0-based in memory and 1-based in JSON.
 
-Small (v, k) decode through a table of every k-subset.  Past it, one cached
-array of binomial columns, C(n, j+1) for n < v, serves both directions on
-whole arrays: a rank is one gather and sum over a row of vertices, and the
-vertices of many ranks come from k searchsorted calls, largest vertex
-first, each finding the largest n with C(n, j+1) <= the rank left.
+One cached array of binomial columns, C(n, j+1) for n < v, serves both
+directions on whole arrays: a rank is one gather and sum over a row of
+vertices, and the vertices of many ranks come from k searchsorted calls,
+largest vertex first, each finding the largest n with C(n, j+1) <= the rank
+left.  Small (v, k) also keep a dict of every rank decoded so far, which a
+miss fills by k bisections over the same columns, so that the many small
+decodes of an exhaustive sweep cost one lookup per edge and no decode pays
+for a rank it does not hold.
 """
 
 import bisect
@@ -27,8 +30,9 @@ import numpy as np
 from .errors import BadParameter
 
 
-def rank_subset(S, k: int | None = None) -> int:
-    """Colex rank of the vertex subset S; k, when given, is checked."""
+def _checked_subset(S, k: int | None = None) -> list:
+    """The vertex subset S sorted, after checking that it has no repeated or
+    negative vertex and, when k is given, k vertices."""
     s = sorted(S)
     if len(set(s)) != len(s):
         raise BadParameter(f"repeated vertex in {S}")
@@ -36,12 +40,12 @@ def rank_subset(S, k: int | None = None) -> int:
         raise BadParameter(f"negative vertex in {S}")
     if k is not None and len(s) != k:
         raise BadParameter(f"expected a {k}-subset, got {len(s)} vertices")
-    return _colex_rank(s)
+    return s
 
 
-def _colex_rank(s) -> int:
-    """The colex rank formula on a sorted vertex sequence, unchecked."""
-    return sum(math.comb(a, j + 1) for j, a in enumerate(s))
+def rank_subset(S, k: int | None = None) -> int:
+    """Colex rank of the vertex subset S; k, when given, is checked."""
+    return sum(math.comb(a, j + 1) for j, a in enumerate(_checked_subset(S, k)))
 
 
 def unrank_subset(r: int, v: int, k: int) -> tuple[int, ...]:
@@ -60,18 +64,9 @@ def unrank_subset(r: int, v: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def subset_table(v: int, k: int):
-    """(tuple of all k-subsets in colex order, dict subset -> rank)."""
-    # colex order is lex order on the tuples read from the largest vertex
-    # down; combinations over v-1, ..., 0 yield those read-down tuples in
-    # lex order from the largest, so both the tuples and the list are reversed
-    subs = tuple(c[::-1] for c in combinations(range(v - 1, -1, -1), k))[::-1]
-    return subs, {s: r for r, s in enumerate(subs)}
-
-
-# lookup tables pay off in exhaustive sweeps but must never be materialized
-# for large slot counts (C(v,k) can reach 2^30 in scope)
+# the decode dict pays off in exhaustive sweeps, where the same few ranks
+# are decoded millions of times, but must stay bounded (C(v,k) can reach
+# 2^30 in scope)
 _TABLE_LIMIT = 1 << 18
 
 
@@ -93,40 +88,89 @@ def _colex_columns(v: int, k: int) -> np.ndarray:
     return cols
 
 
+def lex_subsets(n: int, r: int) -> np.ndarray:
+    """The r-subsets of range(n) in lex order, as rows of a (C(n, r), r)
+    int array: index rows that pick r-subsets out of arrays of vertices."""
+    return np.array(list(combinations(range(n), r)), dtype=np.intp).reshape(
+        math.comb(n, r), r
+    )
+
+
 def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:
-    """Colex ranks of the sorted vertex rows along the last axis of an int
-    array, in one gather from _colex_columns: int64 while C(v, k) < 2^63,
-    exact Python ints (object dtype) beyond."""
+    """Colex ranks of the rows of k distinct vertices along the last axis of
+    an int array, in one gather from _colex_columns: int64 while
+    C(v, k) < 2^63, exact Python ints (object dtype) beyond.  A row need
+    not be sorted: a vertex with j smaller ones in its row adds C(vertex,
+    j+1), and j is counted by comparing the row with itself."""
     cols = _colex_columns(v, k)
     if math.comb(v, k) > _INT64_MAX:
         cols = cols.astype(object)
         for j, n in zip(*np.nonzero(cols == _INT64_MAX)):
             cols[j, n] = math.comb(int(n), int(j) + 1)
-    return cols[np.arange(k), rows].sum(axis=-1)
+    rows = np.asarray(rows)
+    below = (rows[..., :, None] > rows[..., None, :]).sum(axis=-1)
+    return cols[below, rows].sum(axis=-1)
+
+
+def _check_ranks(v: int, k: int, ranks: list[int]) -> None:
+    """BadParameter naming the first of the ascending ranks past C(v, k)."""
+    slots = math.comb(v, k)
+    if ranks and ranks[-1] >= slots:
+        bad = ranks[bisect.bisect_left(ranks, slots)]
+        raise BadParameter(f"rank {bad} outside [0, C({v},{k}))")
+
+
+def _unrank(v: int, k: int, ranks: list[int]) -> list[tuple[int, ...]]:
+    """The vertex tuples of ascending ranks, all unranked at once, one
+    searchsorted per vertex position from the largest down: vertex j is the
+    largest n with C(n, j+1) <= the rank left, which is then reduced by
+    C(n, j+1), as in unrank_subset."""
+    _check_ranks(v, k, ranks)
+    cols = _colex_columns(v, k)
+    rest = np.array(ranks, dtype=np.int64)
+    out = []
+    for j in range(k - 1, -1, -1):
+        n = cols[j].searchsorted(rest, side="right") - 1
+        rest -= cols[j][n]
+        out.append(n.tolist())
+    return list(zip(*reversed(out)))
+
+
+@lru_cache(maxsize=None)
+def _decoded(v: int, k: int):
+    """(dict mapping each rank of (v, k) decoded so far to its vertex tuple,
+    _colex_columns(v, k) as lists to decode the others), which edges_of_bits
+    keeps for C(v, k) <= _TABLE_LIMIT."""
+    return {}, _colex_columns(v, k).tolist()
 
 
 def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
     """Present edges of a bitset as sorted vertex tuples, ascending rank.
 
-    Past the subset table, all ranks are unranked at once, one
-    searchsorted per vertex position from the largest down: vertex j is
-    the largest n with C(n, j+1) <= the rank left, which is then reduced
-    by C(n, j+1), as in unrank_subset."""
+    Up to _TABLE_LIMIT slots a rank is decoded once per process, by the k
+    bisections of _unrank one rank at a time, and then read from the
+    _decoded dict.  Every rank of a larger (v, k) goes through _unrank."""
     ranks = ranks_of_bits(bits)
-    slots = math.comb(v, k)
-    if slots <= _TABLE_LIMIT:
-        subs = subset_table(v, k)[0]
-        return [subs[r] for r in ranks]
-    if ranks and ranks[-1] >= slots:
-        bad = ranks[bisect.bisect_left(ranks, slots)]
-        raise BadParameter(f"rank {bad} outside [0, C({v},{k}))")
-    cols = _colex_columns(v, k)
-    rest = np.array(ranks, dtype=np.int64)
-    out = np.empty((len(ranks), k), dtype=np.int64)
-    for j in range(k - 1, -1, -1):
-        out[:, j] = np.searchsorted(cols[j], rest, side="right") - 1
-        rest -= cols[j, out[:, j]]
-    return list(map(tuple, out.tolist()))
+    if math.comb(v, k) > _TABLE_LIMIT:
+        return _unrank(v, k, ranks)
+    known, cols = _decoded(v, k)
+    try:
+        return [known[r] for r in ranks]
+    except KeyError:
+        _check_ranks(v, k, ranks)
+    out = []
+    for r in ranks:
+        edge = known.get(r)
+        if edge is None:
+            vertices = [0] * k
+            rest = r
+            for j in range(k - 1, -1, -1):
+                n = bisect.bisect_right(cols[j], rest) - 1
+                rest -= cols[j][n]
+                vertices[j] = n
+            edge = known[r] = tuple(vertices)
+        out.append(edge)
+    return out
 
 
 # the codec below handles a bitset one bit at a time while its set bits
@@ -184,13 +228,6 @@ def bits_of_ranks(ranks) -> int:
     return int.from_bytes(buf, "little")
 
 
-def rank_lookup(v: int, k: int):
-    """Callable mapping a sorted k-tuple to its rank, table-backed if small."""
-    if math.comb(v, k) <= _TABLE_LIMIT:
-        return subset_table(v, k)[1].__getitem__
-    return _colex_rank
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Immutable k-uniform hypergraph; bits indexes edges in colex order."""
@@ -224,15 +261,16 @@ class Hypergraph:
     @classmethod
     def from_edges(cls, v: int, k: int, edges) -> "Hypergraph":
         cls.empty(v, k)  # checks 1 <= k <= v before any edge is read
-        ranks = []
+        rows = []
         for e in edges:
             e = tuple(sorted(e))
             if len(e) != k:
                 raise BadParameter(f"edge {e} is not a {k}-subset")
             if e[-1] >= v:
                 raise BadParameter(f"edge {e} has a vertex >= {v}")
-            ranks.append(rank_subset(e, k))
-        return cls(v, k, bits_of_ranks(ranks))
+            rows.append(_checked_subset(e, k))
+        rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        return cls(v, k, bits_of_ranks(colex_ranks(v, k, rows).tolist()))
 
     def edges(self):
         """Present edges as sorted vertex tuples, in colex-rank order."""
@@ -242,11 +280,11 @@ class Hypergraph:
         """Apply the vertex permutation sigma (old -> new) to every edge."""
         if sorted(sigma) != list(range(self.v)):
             raise BadParameter("sigma is not a permutation of the vertices")
-        rank_of = rank_lookup(self.v, self.k)
-        bits = bits_of_ranks(
-            rank_of(tuple(sorted(sigma[u] for u in e))) for e in self.edges()
+        edges = np.array(edges_of_bits(self.v, self.k, self.bits), dtype=np.int64)
+        rows = np.asarray(sigma, dtype=np.int64)[edges].reshape(len(edges), self.k)
+        return Hypergraph(
+            self.v, self.k, bits_of_ranks(colex_ranks(self.v, self.k, rows).tolist())
         )
-        return Hypergraph(self.v, self.k, bits)
 
     def to_json(self, compact: bool = False) -> dict:
         if compact:

@@ -39,14 +39,17 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import BadParameter
 from .hypergraphs import (
     Hypergraph,
     bits_of_ranks,
     boundary_count,
+    colex_ranks,
     degrees,
     edges_of_bits,
-    rank_lookup,
+    lex_subsets,
 )
 
 
@@ -157,7 +160,13 @@ class Property:
 
     def packing(self):
         """The edge-disjoint Packing certifying bs at the empty input, or
-        None when the property has none."""
+        None when the property has none.  Built on first use and cached on
+        the instance, so that a check for one costs no second build."""
+        if not hasattr(self, "_packing"):
+            self._packing = self._make_packing()
+        return self._packing
+
+    def _make_packing(self):
         return None
 
     def spec_json(self) -> dict:
@@ -282,25 +291,43 @@ class GraphPropertyBase(Property):
     def graph(self, bits: int) -> Hypergraph:
         return Hypergraph(self.v, self.k, bits)
 
-    def _isolation_term(self, S) -> tuple[int, int]:
-        """The term of the sorted h-set S: want is the C(h,k) edges inside S,
-        and care is every k-set meeting S in at least i vertices, so care
-        minus want is the edges that must be absent."""
-        k = self.k
-        rank_of = rank_lookup(self.v, k)
-        inside = set(S)
-        outside = [u for u in range(self.v) if u not in inside]
-        care = bits_of_ranks(
-            rank_of(tuple(sorted(a + b)))
-            for j in range(self.i, k + 1)
-            for a in combinations(S, j)
-            for b in combinations(outside, k - j)
-        )
-        return care, bits_of_ranks(map(rank_of, combinations(S, k)))
+    def _isolation_terms(self, sets) -> list[tuple[int, int]]:
+        """The term of each sorted h-set S in `sets`: want is the C(h,k)
+        edges inside S, and care is every k-set meeting S in at least i
+        vertices, so care minus want is the edges that must be absent.
+
+        The k-sets meeting S in j vertices are a j-subset of S joined to a
+        (k-j)-subset of the vertices outside S; for each j, those of every S
+        are ranked in one gather."""
+        v, k, h = self.v, self.k, self.h
+        m = len(sets)
+        sets = np.array(sets, dtype=np.int64).reshape(m, h)
+        inside = np.zeros((m, v), dtype=bool)
+        inside[np.arange(m)[:, None], sets] = True
+        outside = np.nonzero(~inside)[1].reshape(m, v - h)
+        blocks = []
+        for j in range(self.i, k + 1):
+            a = sets[:, lex_subsets(h, j)]
+            b = outside[:, lex_subsets(v - h, k - j)]
+            shape = (m, a.shape[1], b.shape[1])
+            rows = np.concatenate(
+                [
+                    np.broadcast_to(a[:, :, None], shape + (j,)),
+                    np.broadcast_to(b[:, None], shape + (k - j,)),
+                ],
+                axis=-1,
+            )
+            ranks = colex_ranks(v, k, rows)
+            blocks.append(ranks.reshape(m, shape[1] * shape[2]).tolist())
+        # the last block, j = k, is the edges inside S
+        return [
+            (bits_of_ranks(sum(parts, [])), bits_of_ranks(parts[-1]))
+            for parts in zip(*blocks)
+        ]
 
     def _make_patterns(self):
         return tuple(
-            self._isolation_term(S) for S in combinations(range(self.v), self.h)
+            self._isolation_terms(list(combinations(range(self.v), self.h)))
         )
 
     def _edge_index(self, edges):
@@ -412,7 +439,7 @@ class GraphPropertyBase(Property):
 
     def witness_term(self, x):
         res = self.explain(x)
-        return None if res.value == 0 else self._isolation_term(res.witness)
+        return None if res.value == 0 else self._isolation_terms([res.witness])[0]
 
     def witness_term_size(self) -> int:
         return math.comb(self.h, self.k) + boundary_count(
@@ -501,7 +528,7 @@ class IsolatedCliqueProperty(GraphPropertyBase):
 
         return build_s1_witness(self.v, self.k, self.i, self.h).bits
 
-    def packing(self):
+    def _make_packing(self):
         if self.h != self.k + 1:
             return None
         from .witnesses import clique_packing
@@ -532,7 +559,7 @@ class IsolatedTriangleProperty(IsolatedCliqueProperty):
     def value(self, x) -> int:
         return 0 if self._find(input_bits(self, x)) is None else 1
 
-    def packing(self):
+    def _make_packing(self):
         from .witnesses import triangle_packing
 
         return triangle_packing(self.v)

@@ -70,7 +70,7 @@ from .errors import (
     TooLarge,
     ValueIsOne,
 )
-from .hypergraphs import bits_of_ranks, edges_of_bits, rank_lookup, ranks_of_bits
+from .hypergraphs import bits_of_ranks, colex_ranks, edges_of_bits, ranks_of_bits
 from .properties import GraphPropertyBase, input_bits
 from .rng import SplitMix64
 
@@ -230,6 +230,13 @@ def _near_terms(f, bits: int, deadline=None):
     return matched, single
 
 
+def _edge_ranks(f, edges) -> list[int]:
+    """The colex ranks of the graph property f's sorted edge tuples, in one
+    gather."""
+    rows = np.array(edges, dtype=np.int64).reshape(len(edges), f.k)
+    return colex_ranks(f.v, f.k, rows).tolist()
+
+
 def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
     """The graph property f's sensitive bits at bits, where f = fx, from the
     census (see sensitivity_at)."""
@@ -239,12 +246,11 @@ def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
             f"{f.name} gives f={fx}, but its census finds {len(matched)}"
             " h-sets without a defect"
         )
-    rank_of = rank_lookup(f.v, f.k)
-    mismatch = {rank_of(e) for _, e in single}
+    mismatch = set(_edge_ranks(f, [e for _, e in single]))
     if not fx:
         return sorted(mismatch)
     term = f.witness_term(bits)
-    terms = [f._isolation_term(S) for S in matched]
+    terms = f._isolation_terms(matched)
     if term not in terms:
         raise EvaluatorMismatch(
             f"witness term of {f.name} is none of the census's matched terms"
@@ -608,8 +614,8 @@ def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     matched, single = _near_terms(spec, bits)
     if matched:
         raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
-    rank_of = rank_lookup(spec.v, spec.k)
+    ranks = _edge_ranks(spec, [e for _, e in single])
     return [
-        SensitiveTuple(S, rank_of(e), "add" if set(S).issuperset(e) else "remove")
-        for S, e in single
+        SensitiveTuple(S, r, "add" if set(S).issuperset(e) else "remove")
+        for (S, e), r in zip(single, ranks)
     ]

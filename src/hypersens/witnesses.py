@@ -16,7 +16,6 @@ Three families of constructions:
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .hypergraphs import (
     bits_of_ranks,
     boundary_count,
     colex_ranks,
-    rank_subset,
+    lex_subsets,
 )
 from .properties import IsolatedCliqueProperty
 
@@ -81,19 +80,39 @@ def triangle_packing(v: int) -> Packing:
 def clique_packing(v: int, k: int) -> Packing:
     """Greedy-to-maximality edge-disjoint complete (k+1)-vertex k-uniform
     cliques, scanning (k+1)-subsets in lex order and rejecting any candidate
-    that shares a k-subset with an accepted member."""
+    that shares a k-subset with an accepted member.
+
+    The candidates with least vertex a are a joined to the k-subsets of
+    a+1..v-1, the last C(v-1-a, k) of the k-subsets of 1..v-1 in lex order.
+    In the colex formula a adds C(a, 1) = a to the rank of each k-subset
+    holding it, so one gather at a = 0 ranks the k-subsets of every
+    candidate.  The used slots are a bytearray; before the greedy loop over
+    one a, the candidates holding a slot used at an earlier a are dropped
+    in bulk."""
     if k < 2:
         raise BadParameter("need k >= 2")
     if v < k + 1:
         raise BadParameter(f"clique packing needs v >= k+1 = {k + 1}")
-    used: set[tuple[int, ...]] = set()
+    tails = lex_subsets(v - 1, k) + 1
+    faces = lex_subsets(k + 1, k)  # all but the last hold the least vertex
+    at_zero = np.concatenate([np.zeros_like(tails[:, :1]), tails], axis=1)
+    base = colex_ranks(v, k, at_zero[:, faces])
+    lift = np.arange(k + 1) < k
+    tails = tails.tolist()
+    used = bytearray(math.comb(v, k))
+    taken = np.frombuffer(used, dtype=bool)
+    is_used = used.__getitem__
     members = []
-    for cand in combinations(range(v), k + 1):
-        subs = list(combinations(cand, k))
-        if any(s in used for s in subs):
-            continue
-        used.update(subs)
-        members.append(cand)
+    for a in range(v - k):
+        start = len(tails) - math.comb(v - 1 - a, k)
+        ranks = base[start:] + a * lift
+        fresh = np.flatnonzero(~taken[ranks].any(axis=1))
+        for i, subs in zip(fresh.tolist(), ranks[fresh].tolist()):
+            if any(map(is_used, subs)):
+                continue
+            for r in subs:
+                used[r] = 1
+            members.append((a, *tails[start + i]))
     return Packing(v, k, tuple(members))
 
 
@@ -109,12 +128,14 @@ def select_vertex_disjoint(packing: Packing) -> Packing:
 
 
 def packing_edge_blocks(packing: Packing) -> list[tuple[int, ...]]:
-    """Each member as the sorted edge ids of its complete k-uniform clique."""
-    k = packing.k
-    return [
-        tuple(sorted(rank_subset(sub, k) for sub in combinations(m, k)))
-        for m in packing.members
-    ]
+    """Each member as the sorted edge ids of its complete k-uniform clique,
+    all ranked in one gather."""
+    if not packing.members:
+        return []
+    members = np.array(packing.members, dtype=np.int64)
+    faces = lex_subsets(members.shape[1], packing.k)
+    ranks = colex_ranks(packing.v, packing.k, members[:, faces])
+    return [tuple(sorted(r)) for r in ranks.tolist()]
 
 
 def _family_vertex_sets(family: SetFamily, v: int) -> list[tuple[int, ...]]:
@@ -160,7 +181,7 @@ def build_s0_witness(family, v: int, k: int, i: int, h: int):
         )
     # every set's k-subsets in lex order but the last, the removed one
     inside = np.array(vertex_sets, dtype=np.int64).reshape(len(vertex_sets), h)[
-        :, list(combinations(range(h), k))[:-1]
+        :, lex_subsets(h, k)[:-1]
     ]
     ranks = colex_ranks(v, k, inside.reshape(-1, k))
     return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), len(vertex_sets)
@@ -173,8 +194,8 @@ def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:
         raise BadParameter(f"need h >= k+1 and 1 <= i <= k, got h={h}, i={i}, k={k}")
     if h > v:
         raise BadParameter(f"clique size {h} exceeds v = {v}")
-    bits = bits_of_ranks(rank_subset(sub, k) for sub in combinations(range(h), k))
-    return Hypergraph(v, k, bits)
+    # the k-subsets of 0..h-1 are exactly the colex ranks below C(h, k)
+    return Hypergraph(v, k, (1 << math.comb(h, k)) - 1)
 
 
 def s1_witness_counts(v: int, k: int, i: int, h: int) -> tuple[int, int]:
@@ -197,8 +218,8 @@ def build_isolated_vertex_witness(v: int) -> Hypergraph:
     edges at the isolated vertex are sensitive."""
     if v < 4:
         raise BadParameter("need v >= 4")
-    bits = bits_of_ranks(rank_subset(sub, 2) for sub in combinations(range(v - 1), 2))
-    return Hypergraph(v, 2, bits)
+    # the pairs of 0..v-2 are exactly the colex ranks below C(v-1, 2)
+    return Hypergraph(v, 2, (1 << math.comb(v - 1, 2)) - 1)
 
 
 @dataclass(frozen=True)

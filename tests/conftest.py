@@ -2,12 +2,13 @@
 acceptance summary printed at the end of a run."""
 
 import math
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
 from hypersens.gf import FieldPoly
-from hypersens.hypergraphs import Hypergraph, rank_subset, subset_table
+from hypersens.hypergraphs import Hypergraph, rank_subset
 
 # --- acceptance reporting -------------------------------------------------
 
@@ -53,6 +54,66 @@ def table_property(table, n):
 
 
 # --- independent oracles ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def subset_table(v, k):
+    """(tuple of all k-subsets of range(v) in colex order, dict subset ->
+    rank): the enumeration oracle of the colex codec."""
+    # colex order is lex order on the tuples read from the largest vertex
+    # down; combinations over v-1, ..., 0 yield those read-down tuples in
+    # lex order from the largest, so both the tuples and the list are reversed
+    subs = tuple(c[::-1] for c in combinations(range(v - 1, -1, -1), k))[::-1]
+    return subs, {s: r for r, s in enumerate(subs)}
+
+
+def isolation_term_oracle(v, k, i, S):
+    """Reference for `GraphPropertyBase._isolation_terms`: the (care, want)
+    term of the sorted set S, each k-set meeting S in at least i vertices
+    ranked by one lookup in the rank dict."""
+    ranks = subset_table(v, k)[1]
+    outside = [u for u in range(v) if u not in S]
+    care = 0
+    for j in range(i, k + 1):
+        for a in combinations(S, j):
+            for b in combinations(outside, k - j):
+                care |= 1 << ranks[tuple(sorted(a + b))]
+    want = 0
+    for sub in combinations(S, k):
+        want |= 1 << ranks[sub]
+    return care, want
+
+
+def clique_packing_oracle(v, k):
+    """Reference for `witnesses.clique_packing`: the greedy over the
+    (k+1)-subsets in lex order, keeping a set of the used k-subsets."""
+    used = set()
+    members = []
+    for cand in combinations(range(v), k + 1):
+        subs = list(combinations(cand, k))
+        if any(s in used for s in subs):
+            continue
+        used.update(subs)
+        members.append(cand)
+    return tuple(members)
+
+
+def packing_edge_blocks_oracle(packing):
+    """Reference for `witnesses.packing_edge_blocks`: one `rank_subset` call
+    per k-subset of each member."""
+    return [
+        tuple(sorted(rank_subset(sub, packing.k) for sub in combinations(m, packing.k)))
+        for m in packing.members
+    ]
+
+
+def relabel_oracle(G, sigma):
+    """Reference for `Hypergraph.relabel`: each edge mapped through sigma
+    and ranked by one `rank_subset` call."""
+    bits = 0
+    for e in G.edges():
+        bits |= 1 << rank_subset([sigma[u] for u in e], G.k)
+    return Hypergraph(G.v, G.k, bits)
 
 
 def naive_isolated_clique_witness(v, k, i, h, bits):

@@ -46,7 +46,7 @@ from hypersens.gf import make_field
 from hypersens.hypergraphs import (
     Hypergraph,
     edges_of_bits,
-    rank_lookup,
+    rank_subset,
 )
 from hypersens.properties import (
     CyclicRubinsteinProperty,
@@ -376,20 +376,18 @@ def test_criterion_8_hypergraph_witness_side():
 
 def _induced_edge_ids(v, k, i, S):
     """Inside edges plus boundary slots (i <= |E & S| <= k-1)."""
-    rank_of = rank_lookup(v, k)
-    ids = [rank_of(sub) for sub in combinations(sorted(S), k)]
+    ids = [rank_subset(sub, k) for sub in combinations(sorted(S), k)]
     S_set = set(S)
     for E in combinations(range(v), k):
         c = len(S_set.intersection(E))
         if i <= c <= k - 1:
-            ids.append(rank_of(tuple(E)))
+            ids.append(rank_subset(E, k))
     return ids
 
 
 def _makes_desired(v, k, i, bits, S):
     """Does S induce a complete, isolated clique in the bitset?"""
-    rank_of = rank_lookup(v, k)
-    if not all(bits >> rank_of(sub) & 1 for sub in combinations(sorted(S), k)):
+    if not all(bits >> rank_subset(sub, k) & 1 for sub in combinations(sorted(S), k)):
         return False
     S_set = frozenset(S)
     for e in edges_of_bits(v, k, bits):

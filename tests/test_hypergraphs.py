@@ -5,10 +5,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import ascending_bits_oracle, or_ranks_oracle
+from conftest import (
+    ascending_bits_oracle,
+    or_ranks_oracle,
+    relabel_oracle,
+    subset_table,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hypersens import hypergraphs
 from hypersens.errors import BadParameter
 from hypersens.hypergraphs import (
     Hypergraph,
@@ -19,7 +25,6 @@ from hypersens.hypergraphs import (
     edges_of_bits,
     rank_subset,
     ranks_of_bits,
-    subset_table,
     unrank_subset,
 )
 from hypersens.rng import SplitMix64
@@ -107,7 +112,7 @@ def test_ranks_of_bits_cases():
         ranks_of_bits(-1)
 
 
-# every C(v, k) here is past subset_table's 2^18 slots
+# every C(v, k) here is past the decode dict's 2^18 slots
 @pytest.mark.parametrize("v,k", [(120, 3), (300, 3), (60, 4), (40, 5), (800, 2)])
 @given(data=st.data())
 def test_edges_of_bits_unranks_each_rank_past_the_table(v, k, data):
@@ -150,6 +155,32 @@ def test_colex_ranks_stay_exact_past_int64():
 def test_edges_of_bits_rejects_a_rank_past_the_slots():
     with pytest.raises(BadParameter, match=r"rank 280840 outside \[0, C\(120,3\)\)"):
         edges_of_bits(120, 3, 1 << math.comb(120, 3))
+    # small (v, k), before and after rank 0 is decoded
+    for _ in range(2):
+        with pytest.raises(BadParameter, match=r"rank 10 outside \[0, C\(5,2\)\)"):
+            edges_of_bits(5, 2, 1 << 10)
+        with pytest.raises(BadParameter, match=r"rank 10 outside \[0, C\(5,2\)\)"):
+            edges_of_bits(5, 2, 1 << 12 | 1 << 10 | 1)
+
+
+@pytest.mark.parametrize("v", range(1, 13))
+def test_edges_of_bits_decodes_on_demand(v):
+    # each k: every rank alone in a random order (a miss, then a hit), then
+    # random batches mixing decoded and new ranks; only ranks asked for are
+    # decoded
+    rng = SplitMix64(v)
+    for k in range(1, v + 1):
+        subs = subset_table(v, k)[0]
+        hypergraphs._decoded.cache_clear()
+        order = rng.permutation(len(subs))
+        for count, r in enumerate(order[: len(order) // 2]):
+            assert edges_of_bits(v, k, 1 << r) == [subs[r]]
+            assert edges_of_bits(v, k, 1 << r) == [subs[r]]
+            assert len(hypergraphs._decoded(v, k)[0]) == count + 1
+        for _ in range(4):
+            bits = rng.bits(len(subs))
+            assert edges_of_bits(v, k, bits) == [subs[r] for r in ranks_of_bits(bits)]
+        assert edges_of_bits(v, k, (1 << len(subs)) - 1) == list(subs)
 
 
 def test_boundary_count_examples_and_brute_force():
@@ -182,6 +213,17 @@ def test_relabel_round_trip_and_count():
         Hypergraph.empty(4, 2).relabel([0, 0, 1, 2])
 
 
+@pytest.mark.parametrize("v,k", [(1, 1), (6, 2), (7, 3), (9, 4), (120, 3), (60, 5)])
+def test_relabel_matches_the_rank_subset_oracle(v, k):
+    # C(120, 3) and C(60, 5) are past the decode dict
+    rng = SplitMix64(v * 7 + k)
+    for _ in range(10):
+        ranks = [rng.below(min(math.comb(v, k), 1 << 20)) for _ in range(rng.below(40))]
+        G = Hypergraph(v, k, bits_of_ranks(ranks))
+        sigma = rng.permutation(v)
+        assert G.relabel(sigma) == relabel_oracle(G, sigma)
+
+
 def test_json_round_trips():
     G = Hypergraph.from_edges(5, 2, [(0, 1), (2, 4), (1, 3)])
     assert Hypergraph.from_json(G.to_json()) == G
@@ -200,6 +242,11 @@ def test_constructor_validation():
         Hypergraph.from_edges(5, 2, [(0, 1, 2)])
     with pytest.raises(BadParameter, match=r"edge \(0, 5\) has a vertex >= 5"):
         Hypergraph.from_edges(5, 2, [(0, 5)])
+    with pytest.raises(BadParameter, match=r"repeated vertex in \(2, 2\)"):
+        Hypergraph.from_edges(5, 2, [(0, 1), (2, 2)])
+    with pytest.raises(BadParameter, match=r"negative vertex in \(-1, 2\)"):
+        Hypergraph.from_edges(5, 2, [(-1, 2)])
+    assert Hypergraph.from_edges(5, 2, []) == Hypergraph.empty(5, 2)
 
 
 def test_degrees():

@@ -5,7 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import naive_isolated_clique_value, naive_isolated_clique_witness
+from conftest import (
+    isolation_term_oracle,
+    naive_isolated_clique_value,
+    naive_isolated_clique_witness,
+)
 
 from hypersens.errors import BadParameter
 from hypersens.hypergraphs import Hypergraph, rank_subset
@@ -411,6 +415,25 @@ class TestWitnessTerm:
 
     def test_no_term_at_zero(self):
         assert IsolatedTriangleProperty(5).witness_term(0) is None
+
+    @pytest.mark.parametrize(
+        "v,k", [(v, k) for k in (2, 3, 4) for v in range(1, 10) if k < v or k == 2]
+    )
+    def test_every_h_set_term_matches_the_rank_dict_oracle(self, v, k):
+        # every (i, h) of the isolated-clique property at (v, k), i = k with
+        # the override; at k = 2 also the isolated-vertex property, down to
+        # v = 1, where it has no edge slot
+        props = [IsolatedVertexProperty(v)] if k == 2 else []
+        props += [
+            IsolatedCliqueProperty(v, k, i, h, allow_i_equal_k=i == k)
+            for i in range(1, k + 1)
+            for h in range(k + 1, v + 1)
+        ]
+        for prop in props:
+            sets = list(combinations(range(v), prop.h))
+            expected = [isolation_term_oracle(v, k, prop.i, S) for S in sets]
+            assert list(prop.patterns()) == expected
+            assert prop._isolation_terms(sets[-1:]) == expected[-1:]
 
 
 def test_property_json_round_trip():

@@ -9,7 +9,13 @@ import re
 from itertools import combinations
 
 import pytest
-from conftest import flip_edge, removed_edge_of, s0_bits_oracle
+from conftest import (
+    clique_packing_oracle,
+    flip_edge,
+    packing_edge_blocks_oracle,
+    removed_edge_of,
+    s0_bits_oracle,
+)
 
 from hypersens.errors import BadParameter
 from hypersens.families import generate_family, trim_sets
@@ -27,6 +33,7 @@ from hypersens.sensitivity import (
     sensitivity_at,
 )
 from hypersens.witnesses import (
+    Packing,
     build_family_witness,
     build_isolated_vertex_witness,
     build_s0_witness,
@@ -106,6 +113,11 @@ class TestCliquePacking:
         bound = math.comb(v, k + 1) / ((k + 1) * (v - k - 1) + 1)
         assert len(packing.members) >= bound
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_set_of_tuples_oracle(self, k):
+        for v in range(k + 1, 25):
+            assert clique_packing(v, k).members == clique_packing_oracle(v, k)
+
 
 def test_select_vertex_disjoint():
     sel = select_vertex_disjoint(triangle_packing(9))
@@ -128,6 +140,20 @@ def test_packing_blocks_certify_at_empty_graph(packing, spec):
     blocks = packing_edge_blocks(packing)
     cert = certify_blocks(spec, Hypergraph.empty(spec.v, spec.k), blocks)
     assert cert.count == len(packing.members)
+
+
+def test_packing_edge_blocks_match_the_rank_subset_oracle():
+    packings = [triangle_packing(v) for v in range(3, 60, 4)]
+    packings += [clique_packing(v, k) for v, k in [(9, 2), (12, 3), (11, 4)]]
+    # no member; members larger than k+1, whose faces in lex order are not
+    # in rank order; and members whose ranks pass 2^63 (C(400, 12) does)
+    packings += [
+        Packing(5, 2, ()),
+        Packing(9, 2, ((0, 1, 2, 3), (4, 5, 6, 7))),
+        Packing(400, 12, (tuple(range(13)), tuple(range(387, 400)))),
+    ]
+    for packing in packings:
+        assert packing_edge_blocks(packing) == packing_edge_blocks_oracle(packing)
 
 
 class TestS0Witness:
@@ -270,6 +296,13 @@ class TestS1Witness:
                 expected.add(rank_subset(sub, k))
         assert set(sensitivity_at(spec, w).sensitive_bits) == expected
 
+    @pytest.mark.parametrize("v,k,h", [(3, 2, 3), (9, 2, 5), (8, 3, 4), (300, 3, 4), (12, 4, 9)])
+    def test_bits_match_the_rank_subset_loop(self, v, k, h):
+        bits = 0
+        for sub in combinations(range(h), k):
+            bits |= 1 << rank_subset(sub, k)
+        assert build_s1_witness(v, k, 1, h).bits == bits
+
     def test_h_too_large(self):
         with pytest.raises(BadParameter, match="clique size 5 exceeds v = 4"):
             build_s1_witness(4, 2, 1, 5)
@@ -293,6 +326,13 @@ class TestIsolatedVertexWitness:
         f = IsolatedVertexProperty(5)
         for pair in combinations(range(4), 2):
             assert f.value(flip_edge(w, rank_subset(pair, 2))) == 1
+
+    @pytest.mark.parametrize("v", [4, 5, 60])
+    def test_bits_match_the_rank_subset_loop(self, v):
+        bits = 0
+        for pair in combinations(range(v - 1), 2):
+            bits |= 1 << rank_subset(pair, 2)
+        assert build_isolated_vertex_witness(v).bits == bits
 
     def test_too_small(self):
         with pytest.raises(BadParameter, match="need v >= 4"):
