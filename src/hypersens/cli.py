@@ -273,7 +273,6 @@ def cmd_selftest(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
 
     prop_flags = argparse.ArgumentParser(add_help=False)
     prop_flags.add_argument("--property", choices=VARIANTS)
@@ -339,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-end", type=int, required=True)
     p.add_argument("--v-step", type=int, default=1)
     p.add_argument("--columns", default="s_lower,bs_lower")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--timings", action="store_true")
     p.add_argument("--budget-ms", type=int, default=60_000)
     p.add_argument("--k", type=int)
@@ -358,11 +358,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "format", None) is None:
-        args.format = "csv" if args.command == "scan" else "json"
     try:
-        if args.format == "csv" and args.command != "scan":
-            raise BadParameter(f"--format csv is not supported by {args.command}")
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

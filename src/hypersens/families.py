@@ -54,12 +54,6 @@ class SetFamily:
             "sets": [list(s) for s in self.sets],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SetFamily":
-        sets = tuple(tuple(sorted(s)) for s in obj["sets"])
-        size = len(sets[0]) if sets else obj["q"]
-        return cls(obj["q"], obj["d"], obj["ell"], obj["universe"], sets, size)
-
 
 @dataclass(frozen=True)
 class FamilyCheck:
@@ -91,7 +85,7 @@ def generate_family(
     points = np.arange(q)
     values = np.array(
         [
-            FieldPoly.from_ranks(field, [P // q ** (d - 1 - j) % q for j in range(d)])
+            FieldPoly(field, tuple(P // q ** (d - 1 - j) % q for j in range(d)))
             .eval(points)
             for P in range(used)
         ],

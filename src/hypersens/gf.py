@@ -230,20 +230,12 @@ class FieldPoly:
     field: Field
     coeffs: tuple[int, ...]
 
-    @classmethod
-    def from_ranks(cls, field: Field, ranks) -> "FieldPoly":
-        return cls(field, tuple(ranks))
-
     def eval(self, x):
-        """Horner evaluation at the element x, or at every element of an int
-        numpy array x, returned as an array of the same shape."""
-        if isinstance(x, np.ndarray):
-            return self._eval_array(x)
-        add, mul = self.field.add, self.field.mul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c)
-        return acc
+        """Horner evaluation at the element x, returned as an int, or at
+        every element of an int numpy array x, returned as an array of the
+        same shape; both through _eval_array."""
+        out = self._eval_array(np.asarray(x))
+        return out if out.ndim else int(out)
 
     def _eval_array(self, x: np.ndarray) -> np.ndarray:
         """Horner over the array tables: a step multiplies by x as

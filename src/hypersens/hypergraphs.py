@@ -13,10 +13,11 @@ One cached array of binomial columns, C(n, j+1) for n < v, serves both
 directions on whole arrays: a rank is one gather and sum over a row of
 vertices, and the vertices of many ranks come from k searchsorted calls,
 largest vertex first, each finding the largest n with C(n, j+1) <= the rank
-left.  Small (v, k) also keep a dict of every rank decoded so far, which a
-miss fills by k bisections over the same columns, so that the many small
-decodes of an exhaustive sweep cost one lookup per edge and no decode pays
-for a rank it does not hold.
+left.  Every rank is an int64: one at or past 2^63 names no bit of any
+bitset, so ranking refuses it with TooLarge.  Small (v, k) also keep a dict
+of every rank decoded so far, which a miss fills by k bisections over the
+same columns, so that the many small decodes of an exhaustive sweep cost one
+lookup per edge and no decode pays for a rank it does not hold.
 """
 
 import bisect
@@ -27,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, TooLarge
 
 
 def _checked_subset(S, k: int | None = None) -> list:
@@ -64,9 +65,11 @@ def unrank_subset(r: int, v: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# the decode dict pays off in exhaustive sweeps, where the same few ranks
-# are decoded millions of times, but must stay bounded (C(v,k) can reach
-# 2^30 in scope)
+# the decode dict stays: the sampled checks and argmax rechecks of an
+# exhaustive sweep decode the same small inputs again and again; without it
+# the graph sensitivity_global jobs of the exhaustive benchmark took 35%
+# longer (3.2 -> 4.3 ms, 2 shared cores).  It is bounded, since C(v,k) can
+# reach 2^30 in scope
 _TABLE_LIMIT = 1 << 18
 
 
@@ -76,10 +79,10 @@ _INT64_MAX = (1 << 63) - 1
 @lru_cache(maxsize=None)
 def _colex_columns(v: int, k: int) -> np.ndarray:
     """The (k, v) int64 table holding C(n, j+1) at [j, n], clipped at
-    2^63 - 1.  No term of a rank below 2^63 is clipped, so ranking and
-    unranking through the table are exact at any (v, k) for such ranks,
-    and every rank of a bitset that fits in memory is one.  The cached
-    array is read-only: every later lookup for (v, k) shares it."""
+    2^63 - 1.  No term of a rank below 2^63 is clipped (a term is at most
+    its rank), so ranking and unranking through the table are exact for
+    every rank colex_ranks lets through.  The cached array is read-only:
+    every later lookup for (v, k) shares it."""
     cols = np.array(
         [[min(math.comb(n, j + 1), _INT64_MAX) for n in range(v)] for j in range(k)],
         dtype=np.int64,
@@ -97,19 +100,22 @@ def lex_subsets(n: int, r: int) -> np.ndarray:
 
 
 def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:
-    """Colex ranks of the rows of k distinct vertices along the last axis of
-    an int array, in one gather from _colex_columns: int64 while
-    C(v, k) < 2^63, exact Python ints (object dtype) beyond.  A row need
-    not be sorted: a vertex with j smaller ones in its row adds C(vertex,
-    j+1), and j is counted by comparing the row with itself."""
-    cols = _colex_columns(v, k)
-    if math.comb(v, k) > _INT64_MAX:
-        cols = cols.astype(object)
-        for j, n in zip(*np.nonzero(cols == _INT64_MAX)):
-            cols[j, n] = math.comb(int(n), int(j) + 1)
+    """Colex ranks, as int64, of the rows of k distinct vertices along the
+    last axis of an int array, in one gather from _colex_columns; TooLarge
+    when C(largest vertex + 1, k) > 2^63 - 1, the bound that caps every rank
+    and every gathered term.  A row need not be sorted: a vertex with j
+    smaller ones in its row adds C(vertex, j+1), and j is counted by
+    comparing the row with itself."""
     rows = np.asarray(rows)
+    # vertices stay below v, so only a (v, k) past the bound reads them
+    if math.comb(v, k) > _INT64_MAX:
+        top = int(rows.max(initial=0))
+        if math.comb(top + 1, k) > _INT64_MAX:
+            raise TooLarge(
+                f"colex ranks at (v={v}, k={k}) on vertices up to {top} reach 2^63"
+            )
     below = (rows[..., :, None] > rows[..., None, :]).sum(axis=-1)
-    return cols[below, rows].sum(axis=-1)
+    return _colex_columns(v, k)[below, rows].sum(axis=-1)
 
 
 def _check_ranks(v: int, k: int, ranks: list[int]) -> None:
@@ -286,10 +292,7 @@ class Hypergraph:
             self.v, self.k, bits_of_ranks(colex_ranks(self.v, self.k, rows).tolist())
         )
 
-    def to_json(self, compact: bool = False) -> dict:
-        if compact:
-            width = max(1, math.ceil(self.num_slots / 4))
-            return {"v": self.v, "k": self.k, "hex": format(self.bits, f"0{width}x")}
+    def to_json(self) -> dict:
         return {
             "v": self.v,
             "k": self.k,
@@ -327,9 +330,9 @@ def degrees(v: int, edges) -> list[int]:
     return deg
 
 
-def boundary_count(v: int, S, i: int, k: int) -> int:
-    """Number of k-subsets E of a v-vertex set with i <= |E & S| <= k-1."""
+def boundary_count(v: int, s: int, i: int, k: int) -> int:
+    """Number of k-subsets of a v-vertex set that meet a fixed s-subset of
+    it in i..k-1 vertices."""
     if i > k:
         raise BadParameter(f"need i <= k, got i={i}, k={k}")
-    s = len(S) if not isinstance(S, int) else S
     return sum(math.comb(s, j) * math.comb(v - s, k - j) for j in range(i, k))

@@ -129,9 +129,6 @@ class Property:
         w = self._find(input_bits(self, x))
         return EvalResult(0) if w is None else EvalResult(1, w)
 
-    def __call__(self, x) -> int:
-        return self.value(x)
-
     def patterns(self) -> tuple[tuple[int, int], ...] | None:
         """The (care, want) pairs whose OR of x & care == want is value(x).
 

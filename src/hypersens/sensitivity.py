@@ -316,15 +316,36 @@ def truth_table(f, deadline=None) -> np.ndarray:
     return table
 
 
-def _checked_table(f, budget_bits: int, deadline) -> np.ndarray:
+def _check_graph_patterns(f) -> None:
+    """EvaluatorMismatch unless the graph property f's `patterns()` has the
+    shape of its isolation terms: C(v, h) distinct terms, each with a care
+    of witness_term_size() bits and a want of C(h, k) bits inside it.  This
+    catches a dropped term, which the samples of _checked_table can miss."""
+    terms = f.patterns()
+    count = math.comb(f.v, f.h)
+    size, inside = f.witness_term_size(), math.comb(f.h, f.k)
+    if len(terms) != count or len(set(terms)) != count or any(
+        care.bit_count() != size or want.bit_count() != inside or want & ~care
+        for care, want in terms
+    ):
+        raise EvaluatorMismatch(
+            f"patterns() of {f.name} are not C({f.v},{f.h}) distinct terms with"
+            f" {size} care bits, {inside} of them wanted"
+        )
+
+
+def _checked_table(f, deadline) -> np.ndarray:
     """f's batch truth table, compared with scalar `value` at
     GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs; EvaluatorMismatch on any
     difference.  A sample, not a proof: a wrong `patterns()` term off the
     sampled inputs goes unseen here (`TestBatchEvaluator` checks every
-    input)."""
+    input), except that a graph property's terms must first pass
+    _check_graph_patterns."""
     n = f.n
-    if n > budget_bits:
+    if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
+    if isinstance(f, GraphPropertyBase):
+        _check_graph_patterns(f)
     table = truth_table(f, deadline)
     rng = SplitMix64(GLOBAL_CHECK_SEED)
     for _ in range(GLOBAL_CHECK_SAMPLES):
@@ -337,9 +358,7 @@ def _checked_table(f, budget_bits: int, deadline) -> np.ndarray:
     return table
 
 
-def sensitivity_global(
-    f, budget_bits: int = GLOBAL_BUDGET_BITS, deadline=None
-) -> GlobalSensitivity:
+def sensitivity_global(f, deadline=None) -> GlobalSensitivity:
     """Exact max of s(f, x) over all inputs; ties go to the smallest bitmask.
 
     The batch truth table is checked by _checked_table, and s is recomputed
@@ -347,7 +366,7 @@ def sensitivity_global(
     any difference.
     """
     n = f.n
-    table = _checked_table(f, budget_bits, deadline)
+    table = _checked_table(f, deadline)
     s_at = np.zeros(1 << n, dtype=np.uint32)
     for i in range(n):
         _check_deadline(deadline)
@@ -511,7 +530,7 @@ def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     the argmax, whose certificate `certify_blocks` re-verifies with scalar
     `value`; EvaluatorMismatch on any difference.
     """
-    table = _checked_table(f, GLOBAL_BUDGET_BITS, deadline)
+    table = _checked_table(f, deadline)
     best, argmax = -1, 0
     for x, blocks in _minimal_blocks_everywhere(table, f.n, deadline):
         if len(blocks) > best:

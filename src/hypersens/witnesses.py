@@ -149,25 +149,21 @@ def _family_vertex_sets(family: SetFamily, v: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(index[e] for e in s)) for s in family.sets]
 
 
-def build_s0_witness(family, v: int, k: int, i: int, h: int):
+def build_s0_witness(vertex_sets, v: int, k: int, i: int, h: int):
     """Union of near-cliques: each set becomes a clique minus its lex-largest
     edge.  Returns (hypergraph, number of placed sets); the function value is
     0 and re-adding any removed edge flips it to 1.
 
-    `family` is either a SetFamily (trimmed to sets of size h; universe
-    elements are relabeled to vertices by sorted order) or an iterable of
-    vertex sets in [0, v).  Pairwise intersections must stay below i, which
-    makes every completed clique automatically isolated.
+    `vertex_sets` is an iterable of h-sets of vertices in [0, v) (see
+    _family_vertex_sets for a SetFamily).  Pairwise intersections must stay
+    below i, which makes every completed clique automatically isolated.
     """
     if h < k + 1:
         raise BadParameter(f"need h >= k+1, got h={h}, k={k}")
-    if isinstance(family, SetFamily):
-        vertex_sets = _family_vertex_sets(family, v)
-    else:
-        vertex_sets = [tuple(sorted(s)) for s in family]
-        for s in vertex_sets:
-            if s and (s[0] < 0 or s[-1] >= v):
-                raise BadParameter(f"set {s} leaves [0, {v})")
+    vertex_sets = [tuple(sorted(s)) for s in vertex_sets]
+    for s in vertex_sets:
+        if s and (s[0] < 0 or s[-1] >= v):
+            raise BadParameter(f"set {s} leaves [0, {v})")
     for s in vertex_sets:
         if len(s) != h:
             raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
@@ -208,7 +204,7 @@ def s1_witness_counts(v: int, k: int, i: int, h: int) -> tuple[int, int]:
     leading-order count yet differs from the exact value at finite v, so
     the two are reported side by side and never asserted equal.
     """
-    exact = math.comb(h, k) + boundary_count(v, range(h), i, k)
+    exact = math.comb(h, k) + boundary_count(v, h, i, k)
     two_term = math.comb(h, k) + math.comb(h, i) * math.comb(v - i, k - i)
     return exact, two_term
 
@@ -284,7 +280,9 @@ def build_family_witness(v: int, k: int, limit: int | None = None):
     p, m = prime_power(plan.q)
     fam = generate_family(make_field(p, m), plan.d, plan.ell, limit)
     trimmed = trim_sets(fam, plan.h)
-    graph, count = build_s0_witness(trimmed, v, k, plan.i, plan.h)
+    graph, count = build_s0_witness(
+        _family_vertex_sets(trimmed, v), v, k, plan.i, plan.h
+    )
     prop = IsolatedCliqueProperty(v, k, plan.i, plan.h)
     return graph, count, prop
 

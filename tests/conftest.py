@@ -366,7 +366,7 @@ def scalar_family_sets(field, d, ell, limit=None):
     for t in range(count):
         digits = [(t // q ** (d * ell - 1 - j)) % q for j in range(d * ell)]
         polys = [
-            FieldPoly.from_ranks(field, digits[c * d : (c + 1) * d])
+            FieldPoly(field, tuple(digits[c * d : (c + 1) * d]))
             for c in range(ell)
         ]
         members = []

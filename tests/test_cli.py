@@ -148,15 +148,15 @@ def test_scan_json_format(capsys):
     assert "s_lower" in payload["fits"]
 
 
-def test_csv_outside_scan_is_domain_error(capsys):
+def test_format_outside_scan_is_usage_error(capsys):
     code, out, err = run(
         capsys, "sens", "--property", "isolated-vertex", "--v", "5",
         "--input", "witness", "--format", "csv",
     )
-    assert code == 1 and out == ""
-    assert "--format csv" in err and "sens" in err
-    code, _, _ = run(capsys, "selftest", "--format", "csv")
-    assert code == 1
+    assert code == 2 and out == ""
+    assert "--format" in err
+    code, _, _ = run(capsys, "selftest", "--format", "json")
+    assert code == 2
 
 
 def test_seed_flag_is_gone(capsys):
@@ -291,6 +291,12 @@ def _write(tmp_path, name, text):
         ("--input",
          lambda d: _write(d, "b.json", '{"v": true, "k": true, "edges": []}'),
          "integer 'v'"),
+        # C(400, 12) >= 2^63, and this edge's colex rank is past 2^63: it is
+        # refused while the file is read, before any property sees it
+        ("--input",
+         lambda d: _write(d, "r.json", json.dumps(
+             {"v": 400, "k": 12, "edges": [list(range(389, 401))]})),
+         "(v=400, k=12) on vertices up to 399 reach 2^63"),
         ("--spec", lambda d: "{", "invalid JSON"),
         ("--spec", lambda d: "[1, 2]", "JSON object"),
         ("--spec", lambda d: '{"variant": "rubinstein"}', "'rubinstein_k'"),
@@ -313,6 +319,7 @@ def _write(tmp_path, name, text):
         "input-hypergraph-string-vertex",
         "input-hypergraph-k-zero",
         "input-hypergraph-boolean-v-k",
+        "input-hypergraph-rank-past-int64",
         "spec-invalid-json",
         "spec-json-list",
         "spec-rubinstein-without-k",

@@ -244,12 +244,6 @@ def test_parameter_validation():
         generate_family(make_field(2, 10), 1, 3)  # 2^40 universe
 
 
-def test_json_round_trip():
-    fam = trim_sets(generate_family(make_field(5, 1), 2, 1), 4)
-    again = SetFamily.from_json(fam.to_json())
-    assert again == fam
-
-
 _GOLDEN_FAMILIES = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "families.json").read_text()
 )

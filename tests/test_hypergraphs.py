@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hypersens import hypergraphs
-from hypersens.errors import BadParameter
+from hypersens.errors import BadParameter, TooLarge
 from hypersens.hypergraphs import (
     Hypergraph,
     bits_of_ranks,
@@ -144,12 +144,14 @@ def test_edges_of_bits_past_int64_slot_counts(subsets):
     ]
 
 
-def test_colex_ranks_stay_exact_past_int64():
-    top = tuple(range(388, 400))  # the largest rank of C(400, 12)
-    rows = np.array([top, tuple(range(12)), tuple(range(14, 26))])
-    ranks = colex_ranks(400, 12, rows)
-    assert ranks.tolist() == [math.comb(400, 12) - 1, 0, rank_subset(rows[2], 12)]
-    assert ranks[0] > (1 << 63)
+def test_colex_ranks_refuse_ranks_past_int64():
+    # C(400, 12) >= 2^63: rows on the vertices 0..25 still rank exactly,
+    # and a row on the largest vertices, rank C(400, 12) - 1, is refused
+    rows = np.array([tuple(range(12)), tuple(range(14, 26))])
+    assert colex_ranks(400, 12, rows).tolist() == [0, rank_subset(rows[1], 12)]
+    top = np.array([tuple(range(388, 400))])
+    with pytest.raises(TooLarge, match=r"\(v=400, k=12\) .* reach 2\^63"):
+        colex_ranks(400, 12, top)
 
 
 def test_edges_of_bits_rejects_a_rank_past_the_slots():
@@ -184,9 +186,9 @@ def test_edges_of_bits_decodes_on_demand(v):
 
 
 def test_boundary_count_examples_and_brute_force():
-    assert boundary_count(6, (0, 1, 2), 1, 2) == 9
-    assert boundary_count(7, (0, 1, 2, 3), 2, 3) == 18
-    assert boundary_count(9, (0, 1, 2), 3, 3) == 0  # i = k leaves no range
+    assert boundary_count(6, 3, 1, 2) == 9
+    assert boundary_count(7, 4, 2, 3) == 18
+    assert boundary_count(9, 3, 3, 3) == 0  # i = k leaves no range
     for v, s, i, k in [(6, 3, 1, 2), (7, 4, 2, 3), (8, 4, 1, 3), (9, 5, 2, 4)]:
         S = set(range(s))
         brute = sum(
@@ -194,7 +196,7 @@ def test_boundary_count_examples_and_brute_force():
             for E in combinations(range(v), k)
             if i <= len(S.intersection(E)) <= k - 1
         )
-        assert boundary_count(v, range(s), i, k) == brute
+        assert boundary_count(v, s, i, k) == brute
 
 
 def test_relabel_round_trip_and_count():
@@ -227,10 +229,11 @@ def test_relabel_matches_the_rank_subset_oracle(v, k):
 def test_json_round_trips():
     G = Hypergraph.from_edges(5, 2, [(0, 1), (2, 4), (1, 3)])
     assert Hypergraph.from_json(G.to_json()) == G
-    assert Hypergraph.from_json(G.to_json(compact=True)) == G
     assert G.to_json()["edges"][0] == [1, 2]  # serialized 1-based
     H = Hypergraph.from_edges(6, 3, [(0, 1, 2), (3, 4, 5)])
-    assert Hypergraph.from_json(H.to_json(compact=True)) == H
+    # the hex form is read, never written
+    assert Hypergraph.from_json({"v": 5, "k": 2, "hex": format(G.bits, "x")}) == G
+    assert Hypergraph.from_json({"v": 6, "k": 3, "hex": format(H.bits, "x")}) == H
 
 
 def test_constructor_validation():

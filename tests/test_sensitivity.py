@@ -300,6 +300,19 @@ def test_wrong_witness_terms_are_caught(f, x):
         sensitivity_at(f, x)
 
 
+def _dropped_terms():
+    """(property, its patterns() with term t dropped) for every term t of two
+    graph properties; the sampled inputs and the argmax alone miss several
+    of these, the structural check of patterns() catches each."""
+    for make in (
+        lambda: IsolatedTriangleProperty(5),
+        lambda: IsolatedCliqueProperty(5, 2, 1, 4),
+    ):
+        terms = make().patterns()
+        for t in range(len(terms)):
+            yield make(), terms[:t] + terms[t + 1 :]
+
+
 class TestSensitivityGlobal:
     def test_rubinstein_k4(self):
         assert sensitivity_global(RubinsteinProperty(4)).value == 8
@@ -343,10 +356,30 @@ class TestSensitivityGlobal:
                 RubinsteinProperty(4),
                 RubinsteinProperty(4).patterns() + (((1 << 16) - 1, 0),),
             ),
+            *_dropped_terms(),
         ]
         for f, wrong in cases:
             f.patterns = lambda wrong=wrong: wrong
             with pytest.raises(EvaluatorMismatch):
+                sensitivity_global(f)
+
+    def test_graph_patterns_of_the_wrong_shape_are_caught(self):
+        (care, want), second, *rest = IsolatedTriangleProperty(5).patterns()
+        absent = care & ~want  # the edges that must be absent
+        outside = ((1 << 10) - 1) & ~care
+        cases = [
+            # the first term twice, the second dropped
+            ((care, want), (care, want), *rest),
+            # a care bit missing
+            ((care ^ (absent & -absent), want), second, *rest),
+            # a want bit moved outside the care
+            ((care, want ^ (want & -want) ^ (outside & -outside)), second, *rest),
+        ]
+        for wrong in cases:
+            f = IsolatedTriangleProperty(5)
+            f.patterns = lambda wrong=wrong: wrong
+            # the structural check's message, not a sampled input's
+            with pytest.raises(EvaluatorMismatch, match=r"not C\(5,3\) distinct"):
                 sensitivity_global(f)
 
 
@@ -519,6 +552,7 @@ class TestBlockSensitivityGlobal:
             # (3,), which scalar value does not flip
             (majority, ((0b011, 0b011), (0b101, 0b101), (0b110, 0b110),
                         ((1 << 10) - 1 - 0b1000, 0))),
+            *_dropped_terms(),
         ]
         for f, wrong in cases:
             f.patterns = lambda wrong=wrong: wrong

@@ -17,7 +17,7 @@ from conftest import (
     s0_bits_oracle,
 )
 
-from hypersens.errors import BadParameter
+from hypersens.errors import BadParameter, TooLarge
 from hypersens.families import generate_family, trim_sets
 from hypersens.gf import make_field
 from hypersens.hypergraphs import Hypergraph, boundary_count, rank_subset
@@ -150,10 +150,14 @@ def test_packing_edge_blocks_match_the_rank_subset_oracle():
     packings += [
         Packing(5, 2, ()),
         Packing(9, 2, ((0, 1, 2, 3), (4, 5, 6, 7))),
-        Packing(400, 12, (tuple(range(13)), tuple(range(387, 400)))),
+        Packing(400, 12, (tuple(range(13)), tuple(range(13, 26)))),
     ]
     for packing in packings:
         assert packing_edge_blocks(packing) == packing_edge_blocks_oracle(packing)
+    # C(400, 12) >= 2^63, and the faces of a member on the largest vertices
+    # have ranks past 2^63
+    with pytest.raises(TooLarge, match=r"reach 2\^63"):
+        packing_edge_blocks(Packing(400, 12, (tuple(range(387, 400)),)))
 
 
 class TestS0Witness:
@@ -177,12 +181,12 @@ class TestS0Witness:
 
     def test_field_family_route_k3(self):
         fam = trim_sets(generate_family(make_field(5, 1), 2, 1), 4)
-        G, count = build_s0_witness(fam, 25, 3, 2, 4)
+        vertex_sets = [tuple(e - 1 for e in s) for s in fam.sets]  # 1..24 used
+        G, count = build_s0_witness(vertex_sets, 25, 3, 2, 4)
         assert count == 25
         spec = IsolatedCliqueProperty(25, 3, 2, 4)
         assert spec.value(G) == 0
         # every removed edge is individually sensitive
-        vertex_sets = [tuple(e - 1 for e in s) for s in fam.sets]
         for s in vertex_sets:
             flipped = flip_edge(G, removed_edge_of(s, 3))
             assert spec.value(flipped) == 1
@@ -236,8 +240,8 @@ class TestS0Witness:
     def test_ranks_match_the_rank_subset_loop_on_the_v300_family(self):
         plan = plan_family_witness(300, 3)
         fam = trim_sets(generate_family(make_field(2, 2), plan.d, plan.ell), plan.h)
-        G, count = build_s0_witness(fam, 300, 3, plan.i, plan.h)
         vertex_sets = [[e - 1 for e in s] for s in fam.sets]  # all 256 used
+        G, count = build_s0_witness(vertex_sets, 300, 3, plan.i, plan.h)
         assert count == 4096 and G.bits == s0_bits_oracle(vertex_sets, 3)
 
     @pytest.mark.parametrize(
@@ -269,7 +273,7 @@ class TestS1Witness:
         spec = IsolatedCliqueProperty(7, 3, 2, 4)
         w = build_s1_witness(7, 3, 2, 4)
         report = sensitivity_at(spec, w)
-        assert report.s_at_x == math.comb(4, 3) + boundary_count(7, range(4), 2, 3)
+        assert report.s_at_x == math.comb(4, 3) + boundary_count(7, 4, 2, 3)
 
     def test_counts_report_exact_and_two_term_separately(self):
         # triangle case: exact 3 + 3(v-3), two-term 3 + 3(v-1); they differ
