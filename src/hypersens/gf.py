@@ -20,9 +20,9 @@ a and b, a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The
 polynomial product appears only in the table build, as the matrix of
 "multiply by c" on coefficient vectors.  The tables are also kept as int64
 arrays (-1 for log 0 and for a zero 1 + g^j), so FieldPoly.eval takes an
-array of points as well as one point and runs each Horner step over all of
-them at once; generate_family evaluates each coordinate polynomial that way,
-once, at every field element.
+array of points and runs each Horner step over all of them at once;
+generate_family evaluates each coordinate polynomial that way, once, at
+every field element.
 
 q <= 2^15 is the largest order a set family can use (q^(ell+1) must fit its
 2^30 universe with ell >= 1), and it bounds the table build.  Primality and
@@ -230,17 +230,11 @@ class FieldPoly:
     field: Field
     coeffs: tuple[int, ...]
 
-    def eval(self, x):
-        """Horner evaluation at the element x, returned as an int, or at
-        every element of an int numpy array x, returned as an array of the
-        same shape; both through _eval_array."""
-        out = self._eval_array(np.asarray(x))
-        return out if out.ndim else int(out)
-
-    def _eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Horner over the array tables: a step multiplies by x as
-        exp[log acc + log x] and adds c as exp[log acc + zech[log c - log acc]],
-        with zero operands masked out."""
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        """The values at every element of the int array x, as an array of
+        the same shape.  Horner over the array tables: a step multiplies by
+        x as exp[log acc + log x] and adds c as
+        exp[log acc + zech[log c - log acc]], with zero operands masked out."""
         f = self.field
         log, exp, zech = f._log_array, f._exp_array, f._zech_array
         log_x = log[x]

@@ -318,19 +318,22 @@ def truth_table(f, deadline=None) -> np.ndarray:
 
 def _check_graph_patterns(f) -> None:
     """EvaluatorMismatch unless the graph property f's `patterns()` has the
-    shape of its isolation terms: C(v, h) distinct terms, each with a care
-    of witness_term_size() bits and a want of C(h, k) bits inside it.  This
-    catches a dropped term, which the samples of _checked_table can miss."""
+    shape of its isolation terms: C(v, h) terms, each with a care of
+    witness_term_size() bits and a want of C(h, k) bits inside it.  This
+    catches a dropped term, which the samples of _checked_table can miss.
+    When h >= k the wanted edges of an h-set cover it, so the terms of
+    distinct h-sets differ and none may repeat; when h < k nothing is
+    wanted, and two h-sets can share a care (both vertices at v = 2)."""
     terms = f.patterns()
     count = math.comb(f.v, f.h)
     size, inside = f.witness_term_size(), math.comb(f.h, f.k)
-    if len(terms) != count or len(set(terms)) != count or any(
+    if len(terms) != count or (inside and len(set(terms)) != count) or any(
         care.bit_count() != size or want.bit_count() != inside or want & ~care
         for care, want in terms
     ):
         raise EvaluatorMismatch(
-            f"patterns() of {f.name} are not C({f.v},{f.h}) distinct terms with"
-            f" {size} care bits, {inside} of them wanted"
+            f"patterns() of {f.name} are not C({f.v},{f.h}) terms of its"
+            f" {f.h}-sets with {size} care bits, {inside} of them wanted"
         )
 
 

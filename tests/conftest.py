@@ -357,7 +357,7 @@ def gf_oracle_tables(field):
 def scalar_family_sets(field, d, ell, limit=None):
     """Reference for `families.generate_family`: tuple t's coefficient ranks
     are the big-endian base-q digits of t, and each of its q members is
-    encoded from scalar `FieldPoly.eval` values, one point at a time."""
+    encoded point by point from the `FieldPoly.eval` values at all points."""
     q = field.order
     total = q ** (d * ell)
     count = total if limit is None else min(limit, total)
@@ -369,11 +369,12 @@ def scalar_family_sets(field, d, ell, limit=None):
             FieldPoly(field, tuple(digits[c * d : (c + 1) * d]))
             for c in range(ell)
         ]
+        values = [f.eval(np.arange(q)).tolist() for f in polys]
         members = []
         for x in range(q):
             enc = 1 + x
-            for j, f in enumerate(polys, start=1):
-                enc += f.eval(x) * qpow[j]
+            for j, at in enumerate(values, start=1):
+                enc += at[x] * qpow[j]
             members.append(enc)
         sets.append(tuple(sorted(members)))
     return tuple(sets)

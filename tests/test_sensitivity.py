@@ -320,6 +320,14 @@ class TestSensitivityGlobal:
     def test_isolated_vertex_v4(self):
         assert sensitivity_global(IsolatedVertexProperty(4)).value == 3
 
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_isolated_vertex_smallest_v_match_brute_force(self, v):
+        # at v = 2 both vertices share one term, which the structural
+        # check of patterns() must accept
+        f = IsolatedVertexProperty(v)
+        best = max(len(flip_all_oracle(f, x)[1]) for x in range(1 << f.n))
+        assert sensitivity_global(f).value == best
+
     def test_constant_zero(self):
         g = sensitivity_global(BitsProperty(6, lambda x: 0))
         assert g.value == 0 and g.s0 == 0 and g.s1 == 0
@@ -379,7 +387,7 @@ class TestSensitivityGlobal:
             f = IsolatedTriangleProperty(5)
             f.patterns = lambda wrong=wrong: wrong
             # the structural check's message, not a sampled input's
-            with pytest.raises(EvaluatorMismatch, match=r"not C\(5,3\) distinct"):
+            with pytest.raises(EvaluatorMismatch, match=r"not C\(5,3\) terms"):
                 sensitivity_global(f)
 
 
@@ -526,6 +534,14 @@ class TestBlockSensitivityGlobal:
             f = table_property(rng.bits(1 << n), n)
             best = max(bs_brute(f, x) for x in range(1 << n))
             assert block_sensitivity_global(f).value == best, n
+
+    @pytest.mark.parametrize("v", [2, 3, 4])
+    def test_isolated_vertex_smallest_v_match_brute_force(self, v):
+        # at v = 2 both vertices share one term, which the structural
+        # check of patterns() must accept
+        f = IsolatedVertexProperty(v)
+        best = max(bs_brute(f, x) for x in range(1 << f.n))
+        assert block_sensitivity_global(f).value == best
 
     def test_constant_function(self):
         g = block_sensitivity_global(BitsProperty(5, lambda x: 1))
