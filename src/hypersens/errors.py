@@ -4,6 +4,8 @@ reuses the class whose handling it shares, and its message says what went
 wrong. Every domain failure derives from DomainError so the CLI can map it
 to exit code 1; programming errors stay ordinary exceptions."""
 
+import time
+
 
 class DomainError(Exception):
     """Base class for all input-domain failures raised by this package."""
@@ -22,6 +24,13 @@ class CellBudgetExceeded(DomainError):
     """A per-cell wall-clock deadline was hit mid-computation. `run_scan`
     catches it to leave the cell empty with a warning, so no other size
     error may share it: that would turn a real failure into a false timeout."""
+
+
+def check_deadline(deadline) -> None:
+    """CellBudgetExceeded once time.monotonic() is past deadline (None: no
+    deadline)."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise CellBudgetExceeded("cell wall-clock budget exhausted")
 
 
 class NonSensitiveBlock(DomainError):

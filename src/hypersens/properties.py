@@ -9,13 +9,9 @@ exposes
     explain(x)   -- EvalResult with a re-verifiable witness when value is 1
     patterns()   -- (care, want) pairs with value(x) = 1 iff x & care == want
                     for some pair, the form the batch evaluator reads
-    witness_term(x)
-                 -- at f(x) = 1, the (care, want) term of the witness that
-                    explain(x) finds; every y with y & care == want has
-                    f(y) = 1, so only a care bit of x can be sensitive
-    witness_term_size()
-                 -- popcount of every witness term's care, by closed form
     witness()    -- the canonical high-sensitivity input, as bits
+    has_packing  -- whether packing() gives a Packing; read without building
+                    one
     packing()    -- the edge-disjoint Packing whose blocks certify a bs
                     lower bound at the empty input, or None
     block_cap    -- the default largest block of the exact bs scan
@@ -29,6 +25,21 @@ exposes
                     value, explain and the sensitivity engines pass a
                     Hypergraph through it (see input_bits)
 
+and the graph properties (GraphPropertyBase) alone also expose
+
+    witness_term(x)
+                 -- at f(x) = 1, the (care, want) term of the witness that
+                    explain(x) finds; every y with y & care == want has
+                    f(y) = 1, so only a care bit of x can be sensitive
+    witness_term_size()
+                 -- popcount of every witness term's care, by closed form
+    census(bits, deadline)
+                 -- the near terms at bits, those within one flip of being
+                    matched, from which sensitivity_at reads s(f, x)
+    check_patterns()
+                 -- EvaluatorMismatch unless patterns() has the shape of the
+                    isolation terms
+
 Inputs are integers with bit i = variable i.  For the block-structured
 functions the variables are positions 0..k^2-1 split into k consecutive
 blocks of k; for graph and hypergraph properties bit i is the edge with
@@ -41,7 +52,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, EvaluatorMismatch, TooLarge, check_deadline
 from .hypergraphs import (
     Hypergraph,
     bits_of_ranks,
@@ -51,6 +62,10 @@ from .hypergraphs import (
     edges_of_bits,
     lex_subsets,
 )
+
+# the most care bits _isolation_terms builds in one call, summed over its
+# sets: each is a row of k int64 vertices before it is ranked
+MAX_TERM_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -142,29 +157,22 @@ class Property:
     def _make_patterns(self):
         return None
 
-    def witness_term(self, x) -> tuple[int, int] | None:
-        """The (care, want) term of explain(x)'s witness, None at f(x) = 0
-        or when the function has no such form."""
-        return None
-
-    def witness_term_size(self) -> int | None:
-        """Closed-form popcount of the care of every witness_term."""
-        return None
-
     def witness(self) -> int:
         """The canonical high-sensitivity input, as bits."""
         raise NotImplementedError
 
+    has_packing = False
+
     def packing(self):
-        """The edge-disjoint Packing certifying bs at the empty input, or
-        None when the property has none.  Built on first use and cached on
-        the instance, so that a check for one costs no second build."""
+        """The edge-disjoint Packing certifying bs at the empty input (from
+        _make_packing), or None when has_packing is False.  Built on first
+        use and cached on the instance, so that a caller that only asks
+        whether there is one reads has_packing and builds nothing."""
+        if not self.has_packing:
+            return None
         if not hasattr(self, "_packing"):
             self._packing = self._make_packing()
         return self._packing
-
-    def _make_packing(self):
-        return None
 
     def spec_json(self) -> dict:
         raise NotImplementedError
@@ -212,18 +220,6 @@ class RubinsteinProperty(Property):
             for b in range(k)
             for good in sorted(self._good)
         )
-
-    def witness_term(self, x):
-        """The term of the witness block, rotated back by the witness shift."""
-        res = self.explain(x)
-        if res.value == 0:
-            return None
-        w = res.witness
-        care = rotate_left(self._block_mask << w.block * self.k, -w.shift, self.n)
-        return care, input_bits(self, x) & care
-
-    def witness_term_size(self) -> int:
-        return self.k
 
     def witness(self) -> int:
         # one 1 at in-block position 1 of every block: 2k sensitive bits
@@ -295,9 +291,18 @@ class GraphPropertyBase(Property):
 
         The k-sets meeting S in j vertices are a j-subset of S joined to a
         (k-j)-subset of the vertices outside S; for each j, those of every S
-        are ranked in one gather."""
+        are ranked in one gather, after the closed-form count of all their
+        care bits is checked against MAX_TERM_ROWS (TooLarge past it)."""
         v, k, h = self.v, self.k, self.h
         m = len(sets)
+        size = self.witness_term_size()
+        if m * size > MAX_TERM_ROWS:
+            raise TooLarge(
+                f"{m} isolation term(s) of {h}-sets at (v={v}, k={k}) need"
+                f" {m * size} care bits, past the term budget of {MAX_TERM_ROWS}"
+            )
+        if not m:
+            return []
         sets = np.array(sets, dtype=np.int64).reshape(m, h)
         inside = np.zeros((m, v), dtype=bool)
         inside[np.arange(m)[:, None], sets] = True
@@ -376,15 +381,63 @@ class GraphPropertyBase(Property):
                     closed.setdefault(u, {u}).update(e)
         return closed
 
+    def _candidates(self, bits: int, slack: int, deadline=None):
+        """(S, its defects up to slack + 1 of them) for each candidate S of
+        _near_cliques at bits, in lexicographic order of S; the deadline is
+        checked every 512 candidates."""
+        edges = edges_of_bits(self.v, self.k, bits)
+        index = self._edge_index(edges)
+        for count, S in enumerate(self._near_cliques(edges, slack)):
+            if count % 512 == 0:
+                check_deadline(deadline)
+            yield S, self._defects(index, S, slack)
+
+    def census(self, bits: int, deadline=None):
+        """The near terms at bits, for the sensitivity engine: the terms of
+        the h-sets without a defect, and (S, e, colex rank of e) for each
+        h-set S whose one defect is the edge tuple e, both in lexicographic
+        order of S.  CellBudgetExceeded past the deadline."""
+        matched, single = [], []
+        for S, defects in self._candidates(bits, 1, deadline):
+            if not defects:
+                matched.append(S)
+            elif len(defects) == 1:
+                single.append((S, defects[0]))
+        rows = np.array([e for _, e in single], dtype=np.int64)
+        ranks = colex_ranks(self.v, self.k, rows.reshape(len(single), self.k))
+        return self._isolation_terms(matched), [
+            (S, e, r) for (S, e), r in zip(single, ranks.tolist())
+        ]
+
+    def check_patterns(self) -> None:
+        """EvaluatorMismatch unless patterns() has the shape of the isolation
+        terms: C(v, h) terms, each with a care of witness_term_size() bits
+        and a want of C(h, k) bits inside it.  This catches a dropped term,
+        which the samples of the sensitivity engine's table check can miss.
+        When h >= k the wanted edges of an h-set cover it, so the terms of
+        distinct h-sets differ and none may repeat; when h < k nothing is
+        wanted, and two h-sets can share a care (both vertices at v = 2)."""
+        terms = self.patterns()
+        count = math.comb(self.v, self.h)
+        size, inside = self.witness_term_size(), math.comb(self.h, self.k)
+        if len(terms) != count or (inside and len(set(terms)) != count) or any(
+            care.bit_count() != size or want.bit_count() != inside or want & ~care
+            for care, want in terms
+        ):
+            raise EvaluatorMismatch(
+                f"patterns() of {self.name} are not C({self.v},{self.h}) terms"
+                f" of its {self.h}-sets with {size} care bits, {inside} of them"
+                " wanted"
+            )
+
     def _find(self, bits: int):
         """The lexicographically first h-set without a defect, or None."""
-        edges = edges_of_bits(self.v, self.k, bits)
         if self.i > 1:
-            index = self._edge_index(edges)
-            for S in self._near_cliques(edges, 0):
-                if not self._defects(index, S, 0):
+            for S, defects in self._candidates(bits, 0):
+                if not defects:
                     return S
             return None
+        edges = edges_of_bits(self.v, self.k, bits)
         # i = 1: the candidates are the closed neighbourhoods N[u] of the
         # vertices of degree d, each tried only from its least vertex
         closed = self._closed_neighbourhoods(edges, degrees(self.v, edges))
@@ -397,7 +450,7 @@ class GraphPropertyBase(Property):
     def _near_cliques(self, edges, slack: int):
         """The h-sets, in lexicographic order, that may have at most `slack`
         (0 or 1) defects, as candidates for _defects: slack 0 for _find at
-        i >= 2, slack 1 for the near-term census of the sensitivity engine.
+        i >= 2, slack 1 for census.
 
         At i = 1 and h >= k+1 such a set S holds a vertex w of degree
         exactly d = C(h-1,k-1) with closed neighbourhood N[w] = S: S has
@@ -435,10 +488,12 @@ class GraphPropertyBase(Property):
         return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 
     def witness_term(self, x):
+        """The (care, want) term of explain(x)'s witness, None at f(x) = 0."""
         res = self.explain(x)
         return None if res.value == 0 else self._isolation_terms([res.witness])[0]
 
     def witness_term_size(self) -> int:
+        """Closed-form popcount of the care of every witness_term."""
         return math.comb(self.h, self.k) + boundary_count(
             self.v, self.h, self.i, self.k
         )
@@ -508,6 +563,7 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         self.allow_i_equal_k = allow_i_equal_k
         self.n = math.comb(v, k)
         self.block_cap = k + 1
+        self.has_packing = h == k + 1
 
     @staticmethod
     def from_t(
@@ -526,8 +582,6 @@ class IsolatedCliqueProperty(GraphPropertyBase):
         return build_s1_witness(self.v, self.k, self.i, self.h).bits
 
     def _make_packing(self):
-        if self.h != self.k + 1:
-            return None
         from .witnesses import clique_packing
 
         return clique_packing(self.v, self.k)

@@ -3,8 +3,9 @@
 A sweep produces one row per v with up to four measured columns:
 
     s_lower   certified sensitivity lower bound: s(f, w) at the canonical
-              1-side witness w; every care bit of w's verified witness
-              term is evaluated, and the rest are non-sensitive by it
+              1-side witness w, by sensitivity_at (a graph property's
+              census, checked against f and its witness term, or every
+              flip of a block function)
     s_exact   exhaustive max over all 2^n inputs (n <= 24 only)
     bs_lower  size of the edge-disjoint packing certificate at the empty
               input, every block re-verified by evaluation
@@ -138,7 +139,8 @@ def run_scan(
             raise BadParameter(f"unknown column {c!r}")
     spec = {"variant": property_name, "k": k, "i": i, "h": h}
     props = [property_from_json({**spec, "v": v}) for v in v_values]
-    if "bs_lower" in columns and props[0].packing() is None:
+    # each row's packing is built in its own bs_lower cell
+    if "bs_lower" in columns and not props[0].has_packing:
         raise BadParameter(f"bs_lower is not available for {props[0].name!r}")
     # exhaustive columns are bounded up front, naming the first offender
     for c in ("s_exact", "bs_exact"):

@@ -1,16 +1,17 @@
 """Exact sensitivity and block-sensitivity computation.
 
-`sensitivity_at` reads s(f, x) off the terms of f.  Every property here
-is an OR of (care, want) terms, and x ^ e matches a term T iff either x
-matches T and e is not a care bit of T, or x misses T at exactly the one
-care bit e.  So only the near terms, those within Hamming distance 1 of x,
-decide f at the flips of x.  For a graph property the terms are the
-h-sets and the bits where x misses a term are its defects (see
-GraphPropertyBase), so one census of the h-sets with at most one defect
-gives every sensitive bit with a single evaluation of f; the census is
-checked against f(x) and against the witness term of f.  The block
-functions flip only the care bits of their witness term, and a function
-without terms flips and evaluates every bit.
+`sensitivity_at` has two paths.  A graph property reads s(f, x) off its
+terms.  Every property here is an OR of (care, want) terms, and x ^ e
+matches a term T iff either x matches T and e is not a care bit of T, or x
+misses T at exactly the one care bit e.  So only the near terms, those
+within Hamming distance 1 of x, decide f at the flips of x.  For a graph
+property the terms are the h-sets and the bits where x misses a term are
+its defects, and the property itself owns the census of the h-sets with at
+most one defect (GraphPropertyBase.census), so every sensitive bit comes
+with a single evaluation of f; the census is checked against f(x) and
+against the witness term of f.  Any other function, the block functions
+included, is evaluated at x and at every single-bit flip, which is the
+definition of s(f, x).
 
 Exhaustive work runs on a batch evaluator: a property whose `patterns()`
 gives (care, want) terms is evaluated on a uint64 numpy array of inputs as
@@ -56,7 +57,6 @@ result is then flagged `capped` and is only guaranteed to be a lower bound.
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,13 +64,13 @@ import numpy as np
 
 from .errors import (
     BadParameter,
-    CellBudgetExceeded,
     EvaluatorMismatch,
     NonSensitiveBlock,
     TooLarge,
     ValueIsOne,
+    check_deadline,
 )
-from .hypergraphs import bits_of_ranks, colex_ranks, edges_of_bits, ranks_of_bits
+from .hypergraphs import bits_of_ranks, ranks_of_bits
 from .properties import GraphPropertyBase, input_bits
 from .rng import SplitMix64
 
@@ -89,11 +89,6 @@ LEVEL_CACHE_MASKS = 1 << 14
 
 def input_digest(n: int, bits: int) -> str:
     return hashlib.sha256(f"{n}:{bits:x}".encode()).hexdigest()
-
-
-def _check_deadline(deadline):
-    if deadline is not None and time.monotonic() > deadline:
-        raise CellBudgetExceeded("cell wall-clock budget exhausted")
 
 
 @dataclass(frozen=True)
@@ -167,10 +162,9 @@ class SensitiveTuple:
 def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
     """f at x and its sensitive bits, in ascending bit order.
 
-    For a graph property the bits come from the census of its near terms
-    (see _near_terms), by the rule that x ^ e matches a term T iff either x
-    matches T and e is not in care(T), or x misses T at exactly the one
-    care bit e:
+    For a graph property the bits come from f.census, by the rule that
+    x ^ e matches a term T iff either x matches T and e is not in care(T),
+    or x misses T at exactly the one care bit e:
       - at f(x) = 0 the sensitive bits are the single-mismatch bits, the
         one defect of each h-set with exactly one;
       - at f(x) = 1 they are the intersection of care(T) over the matched
@@ -180,10 +174,7 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
     of the matched terms and have the closed-form care count;
     EvaluatorMismatch if not.
 
-    Any other function is evaluated at x and at single-bit flips: at
-    f(x) = 1, when f gives a witness term (care, want), only the care bits
-    are flipped, since every other flip keeps x & care == want and so f = 1;
-    the term is checked the same way first.
+    Any other function is evaluated at x and at every single-bit flip.
     """
     bits = input_bits(f, x)
     fx = f.value(bits)
@@ -200,9 +191,23 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
     )
 
 
-def _check_witness_term(f, bits: int, term) -> None:
-    """EvaluatorMismatch unless bits matches f's witness term (care, want)
-    and its care has the closed-form popcount."""
+def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
+    """The graph property f's sensitive bits at bits, where f = fx, from
+    its census (see sensitivity_at)."""
+    terms, single = f.census(bits, deadline)
+    if bool(terms) != bool(fx):
+        raise EvaluatorMismatch(
+            f"{f.name} gives f={fx}, but its census finds {len(terms)}"
+            " h-sets without a defect"
+        )
+    mismatch = {r for _, _, r in single}
+    if not fx:
+        return sorted(mismatch)
+    term = f.witness_term(bits)
+    if term not in terms:
+        raise EvaluatorMismatch(
+            f"witness term of {f.name} is none of the census's matched terms"
+        )
     care, want = term
     size = f.witness_term_size()
     if bits & care != want or care.bit_count() != size:
@@ -210,71 +215,18 @@ def _check_witness_term(f, bits: int, term) -> None:
             f"witness term of {f.name} does not match the input or has"
             f" {care.bit_count()} care bits instead of {size}"
         )
-
-
-def _near_terms(f, bits: int, deadline=None):
-    """The census of the graph property f's near terms at bits: the h-sets
-    without a defect, and (S, e) for each h-set S whose one defect is the
-    edge tuple e, both in lexicographic order of S."""
-    edges = edges_of_bits(f.v, f.k, bits)
-    index = f._edge_index(edges)
-    matched, single = [], []
-    for count, S in enumerate(f._near_cliques(edges, 1)):
-        if count % 512 == 0:
-            _check_deadline(deadline)
-        defects = f._defects(index, S, 1)
-        if not defects:
-            matched.append(S)
-        elif len(defects) == 1:
-            single.append((S, defects[0]))
-    return matched, single
-
-
-def _edge_ranks(f, edges) -> list[int]:
-    """The colex ranks of the graph property f's sorted edge tuples, in one
-    gather."""
-    rows = np.array(edges, dtype=np.int64).reshape(len(edges), f.k)
-    return colex_ranks(f.v, f.k, rows).tolist()
-
-
-def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
-    """The graph property f's sensitive bits at bits, where f = fx, from the
-    census (see sensitivity_at)."""
-    matched, single = _near_terms(f, bits, deadline)
-    if bool(matched) != bool(fx):
-        raise EvaluatorMismatch(
-            f"{f.name} gives f={fx}, but its census finds {len(matched)}"
-            " h-sets without a defect"
-        )
-    mismatch = set(_edge_ranks(f, [e for _, e in single]))
-    if not fx:
-        return sorted(mismatch)
-    term = f.witness_term(bits)
-    terms = f._isolation_terms(matched)
-    if term not in terms:
-        raise EvaluatorMismatch(
-            f"witness term of {f.name} is none of the census's matched terms"
-        )
-    _check_witness_term(f, bits, term)
-    common = term[0]
-    for care, _ in terms:
-        common &= care
+    common = care
+    for other, _ in terms:
+        common &= other
     return [r for r in ranks_of_bits(common) if r not in mismatch]
 
 
 def _flipped_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
-    """f's sensitive bits at bits, where f = fx, by evaluating flips: only
-    the witness term's care bits at f = 1 when f gives one."""
-    positions = range(f.n)
-    witness_term = getattr(f, "witness_term", None)
-    term = witness_term(bits) if fx and witness_term is not None else None
-    if term is not None:
-        _check_witness_term(f, bits, term)
-        positions = ranks_of_bits(term[0])
+    """f's sensitive bits at bits, where f = fx, by evaluating every flip."""
     sensitive = []
-    for count, i in enumerate(positions):
-        if count % 512 == 0:
-            _check_deadline(deadline)
+    for i in range(f.n):
+        if i % 512 == 0:
+            check_deadline(deadline)
         if f.value(bits ^ (1 << i)) != fx:
             sensitive.append(i)
     return sensitive
@@ -308,7 +260,7 @@ def truth_table(f, deadline=None) -> np.ndarray:
     size = 1 << f.n
     table = np.empty(size, dtype=np.uint8)
     for start in range(0, size, BATCH_CHUNK):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         stop = min(start + BATCH_CHUNK, size)
         table[start:stop] = evaluate_batch(
             f, np.arange(start, stop, dtype=np.uint64)
@@ -316,39 +268,18 @@ def truth_table(f, deadline=None) -> np.ndarray:
     return table
 
 
-def _check_graph_patterns(f) -> None:
-    """EvaluatorMismatch unless the graph property f's `patterns()` has the
-    shape of its isolation terms: C(v, h) terms, each with a care of
-    witness_term_size() bits and a want of C(h, k) bits inside it.  This
-    catches a dropped term, which the samples of _checked_table can miss.
-    When h >= k the wanted edges of an h-set cover it, so the terms of
-    distinct h-sets differ and none may repeat; when h < k nothing is
-    wanted, and two h-sets can share a care (both vertices at v = 2)."""
-    terms = f.patterns()
-    count = math.comb(f.v, f.h)
-    size, inside = f.witness_term_size(), math.comb(f.h, f.k)
-    if len(terms) != count or (inside and len(set(terms)) != count) or any(
-        care.bit_count() != size or want.bit_count() != inside or want & ~care
-        for care, want in terms
-    ):
-        raise EvaluatorMismatch(
-            f"patterns() of {f.name} are not C({f.v},{f.h}) terms of its"
-            f" {f.h}-sets with {size} care bits, {inside} of them wanted"
-        )
-
-
 def _checked_table(f, deadline) -> np.ndarray:
     """f's batch truth table, compared with scalar `value` at
     GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs; EvaluatorMismatch on any
     difference.  A sample, not a proof: a wrong `patterns()` term off the
     sampled inputs goes unseen here (`TestBatchEvaluator` checks every
-    input), except that a graph property's terms must first pass
-    _check_graph_patterns."""
+    input), except that a graph property's terms must first pass its
+    check_patterns()."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
     if isinstance(f, GraphPropertyBase):
-        _check_graph_patterns(f)
+        f.check_patterns()
     table = truth_table(f, deadline)
     rng = SplitMix64(GLOBAL_CHECK_SEED)
     for _ in range(GLOBAL_CHECK_SAMPLES):
@@ -372,7 +303,7 @@ def sensitivity_global(f, deadline=None) -> GlobalSensitivity:
     table = _checked_table(f, deadline)
     s_at = np.zeros(1 << n, dtype=np.uint32)
     for i in range(n):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         # viewing the table as (high bits, bit i, low bits), flipping bit i
         # is a swap along the middle axis
         flipped = table.reshape(-1, 2, 1 << i)[:, ::-1, :].reshape(-1)
@@ -454,7 +385,7 @@ def _block_walk(n: int, count: int, max_block_size: int, flips, deadline):
             masks, rows = _next_level(prev, n), None
         level_held = np.empty((count, len(masks)), dtype=bool)
         for start in range(0, len(masks), step):
-            _check_deadline(deadline)
+            check_deadline(deadline)
             chunk = masks[start : start + step]
             sub = (
                 rows[start : start + step]
@@ -483,12 +414,14 @@ def minimal_sensitive_blocks(
 ) -> list[tuple[int, ...]]:
     """All inclusion-minimal sensitive blocks of size <= max_block_size at x,
     as sorted position tuples in lexicographic order; the one-input case of
-    _block_walk, evaluated by evaluate_batch."""
+    _block_walk, evaluated by evaluate_batch.  The cap is at least 1, except
+    at n = 0, where it is 0 and there is no block."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"block scan over an n={n} input is out of scope")
-    if not 1 <= max_block_size <= n:
-        raise BadParameter(f"need 1 <= max_block_size <= {n}")
+    least = min(1, n)
+    if not least <= max_block_size <= n:
+        raise BadParameter(f"need {least} <= max_block_size <= {n}")
     bits = input_bits(f, x)
     fx = bool(f.value(bits))
     base = np.uint64(bits)
@@ -571,7 +504,7 @@ def _pack_blocks(blocks: list[int], deadline=None) -> tuple[int, list[int]]:
 
     def rec(cands: list[int], chosen: list[int]):
         nonlocal best_count, best
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if len(chosen) > best_count:
             best_count, best = len(chosen), list(chosen)
         for idx, j in enumerate(cands):
@@ -632,12 +565,10 @@ def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:
     IsolatedCliqueProperty (IsolatedTriangleProperty is its k=2, i=1, h=3
     subclass).  f(G) must be 0: a set without a defect raises ValueIsOne.
     """
-    bits = input_bits(spec, G)
-    matched, single = _near_terms(spec, bits)
+    matched, single = spec.census(input_bits(spec, G))
     if matched:
         raise ValueIsOne("sensitive tuples are defined on inputs with f = 0")
-    ranks = _edge_ranks(spec, [e for _, e in single])
     return [
         SensitiveTuple(S, r, "add" if set(S).issuperset(e) else "remove")
-        for (S, e), r in zip(single, ranks)
+        for S, e, r in single
     ]

@@ -1,10 +1,12 @@
 """Command-line contract: outputs, file handling, exit codes."""
 
 import json
+import math
 import pathlib
 
 import pytest
 
+from hypersens import properties
 from hypersens.cli import main
 from hypersens.hypergraphs import Hypergraph
 from hypersens.scaling import rows_from_csv
@@ -339,6 +341,27 @@ def test_malformed_json_is_domain_error(capsys, tmp_path, flag, make, problem):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and problem in err
+
+
+def test_huge_witness_term_is_refused_before_any_row(capsys, monkeypatch):
+    """The witness term of the 13-clique at (400, 12, 1, 13) has about
+    9.8e21 care bits; its closed-form count is checked against the term
+    budget before lex_subsets builds a row (the spy fails the test on a
+    table of more than a million rows instead of hanging)."""
+    lex_subsets = properties.lex_subsets
+
+    def spy(n, r):
+        assert math.comb(n, r) <= 10**6, f"lex_subsets({n}, {r})"
+        return lex_subsets(n, r)
+
+    monkeypatch.setattr(properties, "lex_subsets", spy)
+    code, out, err = run(
+        capsys, "sens", "--property", "isolated-clique", "--v", "400", "--k", "12",
+        "--i", "1", "--h", "13", "--input", "witness",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert f"past the term budget of {properties.MAX_TERM_ROWS}" in err
 
 
 def test_bsens_max_block_size_zero_is_domain_error(capsys):

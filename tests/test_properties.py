@@ -357,27 +357,6 @@ class TestWitnessTerm:
 
     @pytest.mark.parametrize(
         "prop",
-        [RubinsteinProperty(4), CyclicRubinsteinProperty(4)],
-        ids=_spec_id,
-    )
-    def test_block_term_is_a_pattern(self, prop):
-        terms = set(prop.patterns())
-        rng = SplitMix64(71)
-        ones = 0
-        for _ in range(2000):
-            x = rng.bits(prop.n) & rng.bits(prop.n)
-            term = prop.witness_term(x)
-            if not prop.value(x):
-                assert term is None
-                continue
-            ones += 1
-            care, want = term
-            assert term in terms and x & care == want
-            assert care.bit_count() == prop.witness_term_size()
-        assert ones
-
-    @pytest.mark.parametrize(
-        "prop",
         [
             IsolatedVertexProperty(6),
             IsolatedTriangleProperty(6),

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from hypersens import scaling
 from hypersens.errors import BadParameter, TooLarge
+from hypersens.properties import IsolatedCliqueProperty
 from hypersens.scaling import (
     fit_exponent,
     rows_from_csv,
@@ -91,6 +93,35 @@ class TestRunScan:
     def test_bs_exact_tiny(self):
         result = run_scan("isolated-vertex", [4], ("bs_exact",))
         assert result.rows[0].bs_exact == 3
+
+    def test_each_packing_is_built_in_its_own_cell(self, monkeypatch):
+        """The bs_lower check before the rows builds no packing, so the
+        first row's cell times and budgets its own build too."""
+        cells = []
+        measure = scaling._measure
+
+        def measured(col, prop, deadline):
+            cells.append(col)
+            try:
+                return measure(col, prop, deadline)
+            finally:
+                cells.pop()
+
+        built = []
+        make = IsolatedCliqueProperty._make_packing
+
+        def spy(prop):
+            assert cells == ["bs_lower"], "a packing built outside its cell"
+            built.append(prop.v)
+            return make(prop)
+
+        monkeypatch.setattr(scaling, "_measure", measured)
+        monkeypatch.setattr(IsolatedCliqueProperty, "_make_packing", spy)
+        result = run_scan(
+            "isolated-clique", [8, 9], ("s_lower", "bs_lower"), k=3, i=1, h=4
+        )
+        assert built == [8, 9]
+        assert all(r.bs_lower for r in result.rows)
 
     def test_exhaustive_budget_names_column_and_v(self):
         with pytest.raises(TooLarge, match=r"needs 2\^36 inputs") as exc:
