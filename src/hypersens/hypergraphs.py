@@ -127,11 +127,10 @@ def _check_ranks(v: int, k: int, ranks: list[int]) -> None:
 
 
 def _unrank(v: int, k: int, ranks: list[int]) -> list[tuple[int, ...]]:
-    """The vertex tuples of ascending ranks, all unranked at once, one
-    searchsorted per vertex position from the largest down: vertex j is the
-    largest n with C(n, j+1) <= the rank left, which is then reduced by
-    C(n, j+1), as in unrank_subset."""
-    _check_ranks(v, k, ranks)
+    """The vertex tuples of ranks in [0, C(v, k)), in any order, all unranked
+    at once, one searchsorted per vertex position from the largest down:
+    vertex j is the largest n with C(n, j+1) <= the rank left, which is then
+    reduced by C(n, j+1), as in unrank_subset."""
     cols = _colex_columns(v, k)
     rest = np.array(ranks, dtype=np.int64)
     out = []
@@ -158,6 +157,7 @@ def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
     _decoded dict.  Every rank of a larger (v, k) goes through _unrank."""
     ranks = ranks_of_bits(bits)
     if math.comb(v, k) > _TABLE_LIMIT:
+        _check_ranks(v, k, ranks)
         return _unrank(v, k, ranks)
     known, cols = _decoded(v, k)
     try:
@@ -178,6 +178,10 @@ def edges_of_bits(v: int, k: int, bits: int) -> list[tuple[int, ...]]:
         out.append(edge)
     return out
 
+
+# the widest bitset bits_of_ranks builds, 512 MiB: any int64 rank passes
+# colex_ranks, but one past 2^32 names a bit of no bitset in scope
+MAX_BITSET_BITS = 1 << 32
 
 # the codec below handles a bitset one bit at a time while its set bits
 # times its width stay within this work: each step then copies the whole
@@ -216,13 +220,19 @@ def ranks_of_bits(bits: int) -> list[int]:
 def bits_of_ranks(ranks) -> int:
     """The bitset whose set bits are exactly `ranks` (repeats are harmless),
     in time linear in the ranks plus the width (see _BIT_LOOP_WORK); one
-    rank is one shift at any width."""
+    rank is one shift at any width.  TooLarge, before any shift, for a rank
+    past MAX_BITSET_BITS."""
     ranks = list(ranks)
     if not ranks:
         return 0
     if min(ranks) < 0:
         raise BadParameter(f"negative edge id {min(ranks)}")
     width = max(ranks) + 1
+    if width > MAX_BITSET_BITS:
+        raise TooLarge(
+            f"edge id {width - 1} needs a bitset of {width} bits, past the"
+            f" bitset budget of 2^{MAX_BITSET_BITS.bit_length() - 1} bits"
+        )
     if len(ranks) == 1 or len(ranks) * width <= _BIT_LOOP_WORK:
         bits = 0
         for r in ranks:

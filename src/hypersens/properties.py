@@ -36,6 +36,9 @@ and the graph properties (GraphPropertyBase) alone also expose
     census(bits, deadline)
                  -- the near terms at bits, those within one flip of being
                     matched, from which sensitivity_at reads s(f, x)
+    flipped_values(bits, fx, blocks)
+                 -- f(bits ^ B) for each block B, from the h-sets that meet
+                    B, which certify_blocks reads
     check_patterns()
                  -- EvaluatorMismatch unless patterns() has the shape of the
                     isolation terms
@@ -55,6 +58,7 @@ import numpy as np
 from .errors import BadParameter, EvaluatorMismatch, TooLarge, check_deadline
 from .hypergraphs import (
     Hypergraph,
+    _unrank,
     bits_of_ranks,
     boundary_count,
     colex_ranks,
@@ -281,9 +285,6 @@ class GraphPropertyBase(Property):
     i: int
     h: int
 
-    def graph(self, bits: int) -> Hypergraph:
-        return Hypergraph(self.v, self.k, bits)
-
     def _isolation_terms(self, sets) -> list[tuple[int, int]]:
         """The term of each sorted h-set S in `sets`: want is the C(h,k)
         edges inside S, and care is every k-set meeting S in at least i
@@ -336,11 +337,7 @@ class GraphPropertyBase(Property):
         """The present edges as a set, and each i-subset of a present edge
         mapped to the present edges holding it: what _defects reads, built
         once per input."""
-        by_sub: dict = {}
-        for e in edges:
-            for sub in combinations(e, self.i):
-                by_sub.setdefault(sub, []).append(e)
-        return set(edges), by_sub
+        return set(edges), _by_subset(edges, self.i)
 
     def _defects(self, index, S, limit: int) -> list[tuple[int, ...]]:
         """The defects of the sorted h-set S, as sorted edge tuples, at the
@@ -430,6 +427,114 @@ class GraphPropertyBase(Property):
                 " wanted"
             )
 
+    def flipped_values(self, bits: int, fx: int, blocks):
+        """f(bits ^ B) for each block B, a list of edge ranks below n, lazily
+        and in order; fx must be f(bits).  For i = 1, and for i >= 2 at
+        h = k+1, the values come from one edge index of x = bits, patched by
+        each block's edges, so a block costs time in the edges at V(B), the
+        vertices of B's edges, not in n.  Every other (i, h) evaluates f at
+        each x ^ B.
+
+        Why the h-sets that meet V(B) decide f at y = x ^ B.  The defects of
+        an h-set S are edges that meet S in at least i >= 1 vertices.  So an
+        S that misses V(B) has the same defects at x and at y, and f(y) = 1
+        iff some h-set without a defect at x misses V(B), or some S that
+        meets V(B) has no defect at y; at f(x) = 0 only the second can hold.
+        The sets of the second kind are the h-sets without a defect at y
+        through each u in V(B) (_isolated_at, on the index of y):
+          - at i = 1 such a set is N_y[u], by the rule of the class
+            docstring: every w in it has degree C(h-1, k-1) and N_y[w] = S
+            (at h = 1: deg_y(u) = 0);
+          - at i >= 2 and h = k+1 its k inside edges through u are present
+            at y, and any two of them share k-1 vertices and unite to S, as
+            _near_cliques argues; each such union's defects are read off
+            the index.
+        The h-sets without a defect at x come from the same rule through
+        every vertex at i = 1, and from _near_cliques at i >= 2.  There must
+        be some iff fx = 1: EvaluatorMismatch if not.
+        """
+        v, k, i, h = self.v, self.k, self.i, self.h
+        if i > 1 and h != k + 1:
+            for b in blocks:
+                yield self.value(bits ^ bits_of_ranks(b))
+            return
+        edges = edges_of_bits(v, k, bits)
+        present, by_sub = self._edge_index(edges)
+        if i == 1:
+            at = by_sub
+            matched = {self._isolated_at(u, present, by_sub, at) for u in range(v)}
+            matched.discard(None)
+        else:
+            at = _by_subset(edges, 1)
+            index = (present, by_sub)
+            cands = self._near_cliques(edges, 0)
+            matched = {S for S in cands if not self._defects(index, S, 0)}
+        if bool(matched) != bool(fx):
+            raise EvaluatorMismatch(
+                f"{self.name} gives f={fx}, but its edge index finds"
+                f" {len(matched)} h-sets without a defect"
+            )
+        owners: dict = {}
+        for S in matched:
+            for u in S:
+                owners.setdefault(u, []).append(S)
+        decoded = _unrank(v, k, [r for b in blocks for r in b])
+        start = 0
+        for b in blocks:
+            flip = set(decoded[start : start + len(b)])
+            start += len(b)
+            flip_at = _by_subset(flip, 1)
+            if matched:
+                met = {S for (u,) in flip_at for S in owners.get(u, ())}
+                if len(met) < len(matched):
+                    yield 1  # an h-set without a defect misses V(B)
+                    continue
+            y_at = _Flipped(present, at, flip, flip_at)
+            y_sub = y_at
+            if i > 1:
+                y_sub = _Flipped(present, by_sub, flip, _by_subset(flip, i))
+            yield int(
+                any(self._isolated_at(u, y_sub, y_sub, y_at) for (u,) in flip_at)
+            )
+
+    def _isolated_at(self, u: int, present, by_sub, at):
+        """An h-set through the vertex u without a defect, as a sorted tuple,
+        or None, at the input whose index is (present, by_sub) (see
+        _edge_index) and whose edges at each vertex w are at.get((w,), ()),
+        by the rules of flipped_values (i = 1, or h = k+1).  At i = 1 the
+        set is the only one through u."""
+        k, h = self.k, self.h
+        if self.i == 1:
+            d = math.comb(h - 1, k - 1)
+            inc = at.get((u,), ())
+            if len(inc) != d:
+                return None
+            N = {u}.union(*inc)
+            if len(N) != h:
+                return None
+            for w in N:
+                if w != u:
+                    inc = at.get((w,), ())
+                    if len(inc) != d or {w}.union(*inc) != N:
+                        return None
+            return tuple(sorted(N))
+        index = (present, by_sub)
+        by_rest: dict = {}  # the edges through u by their k-1 vertices with u
+        seen = set()
+        for e in at.get((u,), ()):
+            for drop in e:
+                if drop == u:
+                    continue
+                rest = tuple(w for w in e if w != drop)
+                for other in by_rest.setdefault(rest, []):
+                    S = tuple(sorted(set(e) | set(other)))
+                    if S not in seen:
+                        seen.add(S)
+                        if not self._defects(index, S, 0):
+                            return S
+                by_rest[rest].append(e)
+        return None
+
     def _find(self, bits: int):
         """The lexicographically first h-set without a defect, or None."""
         if self.i > 1:
@@ -502,7 +607,14 @@ class GraphPropertyBase(Property):
         return {"variant": self.name, "v": self.v, "k": self.k}
 
     def input_json(self, bits: int):
-        return self.graph(bits).to_json()
+        # Hypergraph.to_json's form, built without a Hypergraph, which needs
+        # k <= v: IsolatedVertexProperty(1) has k = 2 and no input bits
+        edges = edges_of_bits(self.v, self.k, bits)
+        return {
+            "v": self.v,
+            "k": self.k,
+            "edges": [[u + 1 for u in e] for e in edges],
+        }
 
     def graph_bits(self, G: Hypergraph) -> int:
         if (G.v, G.k) != (self.v, self.k):
@@ -510,6 +622,40 @@ class GraphPropertyBase(Property):
                 f"input is on (v={G.v}, k={G.k}), property on (v={self.v}, k={self.k})"
             )
         return G.bits
+
+
+def _by_subset(edges, size: int) -> dict:
+    """Each size-subset of an edge, as a sorted tuple, mapped to the edges
+    holding it (size 1: each vertex, as a 1-tuple, to its edges)."""
+    by_sub: dict = {}
+    for e in edges:
+        for sub in combinations(e, size):
+            by_sub.setdefault(sub, []).append(e)
+    return by_sub
+
+
+class _Flipped:
+    """The index of y = x ^ B, read through a _by_subset map of x's present
+    edges and the same map of B's edges: `e in view` says whether e is
+    present at y, and view.get(key, ()) lists the edges of y under key, as
+    _defects and _isolated_at read them."""
+
+    def __init__(self, present, by_key, flip, flip_by_key):
+        self.present, self.by_key = present, by_key
+        self.flip, self.flip_by_key = flip, flip_by_key
+
+    def __contains__(self, e) -> bool:
+        return (e in self.present) != (e in self.flip)
+
+    def get(self, key, default=()):
+        flipped = self.flip_by_key.get(key)
+        if not flipped:
+            return self.by_key.get(key, default)
+        kept = self.by_key.get(key)
+        added = [e for e in flipped if e not in self.present]
+        if not kept:
+            return added
+        return [e for e in kept if e not in self.flip] + added
 
 
 class IsolatedVertexProperty(GraphPropertyBase):

@@ -41,7 +41,12 @@ inputs, and `IsolatedTriangleProperty(5)` with its term 1 dropped returns
 the right s with no error.  The full guard is `TestBatchEvaluator` in the
 tests, which compares every input for each property.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
-which re-evaluates every block.
+which has the two paths of `sensitivity_at`.  It evaluates f once, at x.  A
+graph property then decides each f(x ^ B) locally, from the h-sets that meet
+V(B), the vertices of B's edges (GraphPropertyBase.flipped_values): one edge
+index of x, patched by each block's edges, so that a block costs time in the
+edges at V(B), not in n.  The index must agree with f(x).  Any other
+function is evaluated at every x ^ B.
 
 Block sensitivity is computed by packing inclusion-minimal sensitive blocks:
 every sensitive block contains a minimal one, and replacing the blocks of a
@@ -463,8 +468,8 @@ def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     table checked by _checked_table; an input is packed only when it has
     more minimal blocks than the best packing so far, since bs(f, x) is at
     most their number.  bs is recomputed by `block_sensitivity_exact` at
-    the argmax, whose certificate `certify_blocks` re-verifies with scalar
-    `value`; EvaluatorMismatch on any difference.
+    the argmax, whose certificate `certify_blocks` re-verifies without the
+    table; EvaluatorMismatch on any difference.
     """
     table = _checked_table(f, deadline)
     best, argmax = -1, 0
@@ -536,22 +541,52 @@ def block_sensitivity_exact(
 
 
 def certify_blocks(f, x, blocks) -> BlockCertificate:
-    """Verify that the given disjoint blocks all flip f at x."""
+    """Verify that the given disjoint blocks, each a sequence of input
+    positions, all flip f at x.
+
+    f is evaluated once at x.  A graph property gives f at each x ^ B by
+    its local rule, from the h-sets that meet B (see its flipped_values);
+    any other function is evaluated at each x ^ B.  The blocks are checked
+    in order, and the first bad one raises: a negative position, a position
+    shared with an earlier block or one >= n is a BadParameter, and a block
+    that leaves f unchanged a NonSensitiveBlock.
+    """
     bits = input_bits(f, x)
     fx = f.value(bits)
-    used = 0
-    norm = []
-    for idx, b in enumerate(blocks):
-        mask = bits_of_ranks(b)
-        if mask & used:
-            raise BadParameter(f"block #{idx} overlaps an earlier block")
-        used |= mask
-        if f.value(bits ^ mask) == fx:
+    blocks, error = _checked_blocks(f.n, blocks)
+    if isinstance(f, GraphPropertyBase):
+        values = f.flipped_values(bits, fx, blocks)
+    else:
+        values = (f.value(bits ^ bits_of_ranks(b)) for b in blocks)
+    for idx, value in enumerate(values):
+        if value == fx:
             raise NonSensitiveBlock(idx)
-        norm.append(tuple(sorted(b)))
+    if error is not None:
+        raise error
     return BlockCertificate(
-        digest=input_digest(f.n, bits), blocks=tuple(norm), count=len(norm)
+        digest=input_digest(f.n, bits),
+        blocks=tuple(tuple(sorted(b)) for b in blocks),
+        count=len(blocks),
     )
+
+
+def _checked_blocks(n: int, blocks) -> tuple[list[list[int]], BadParameter | None]:
+    """(the blocks before the first bad one, as lists, the BadParameter of
+    that one or None).  A block is bad when, checked in this order, it has a
+    negative position, shares one with an earlier block or has one >= n;
+    the messages are those of bits_of_ranks and as_bits."""
+    good, used = [], set()
+    for idx, b in enumerate(blocks):
+        b = list(b)
+        if b and min(b) < 0:
+            return good, BadParameter(f"negative edge id {min(b)}")
+        if not used.isdisjoint(b):
+            return good, BadParameter(f"block #{idx} overlaps an earlier block")
+        if b and max(b) >= n:
+            return good, BadParameter(f"bitmask does not fit in {n} bits")
+        used.update(b)
+        good.append(b)
+    return good, None
 
 
 def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from hypersens.errors import BadParameter, NonSensitiveBlock
 from hypersens.gf import FieldPoly
 from hypersens.hypergraphs import Hypergraph, rank_subset
 
@@ -135,21 +136,27 @@ def naive_isolated_clique_value(v, k, i, h, bits):
     return int(naive_isolated_clique_witness(v, k, i, h, bits) is not None)
 
 
+def defects_oracle(v, k, i, S, bits):
+    """The ranks of the defects of the vertex set S: the slots whose bit
+    keeps S from being an isolated clique, an absent slot inside S or a
+    present one meeting S in i..k-1 vertices; all C(v,k) slots are
+    counted."""
+    inside = set(S)
+    defects = []
+    for r, e in enumerate(subset_table(v, k)[0]):
+        c = len(inside.intersection(e))
+        present = bits >> r & 1
+        if (c == k and not present) or (i <= c < k and present):
+            defects.append(r)
+    return defects
+
+
 def sensitive_tuples_oracle(v, k, i, h, bits):
-    """(vertices, edge, direction) of every h-set S with exactly one defect,
-    in lexicographic order of S.  A defect is a slot whose bit keeps S from
-    being an isolated h-clique: an absent slot inside S, or a present one
-    meeting S in i..k-1 vertices; all C(v,k) slots are counted."""
-    subs = subset_table(v, k)[0]
+    """(vertices, edge, direction) of every h-set S with exactly one defect
+    (see defects_oracle), in lexicographic order of S."""
     out = []
     for S in combinations(range(v), h):
-        inside = set(S)
-        defects = []
-        for r, e in enumerate(subs):
-            c = len(inside.intersection(e))
-            present = bits >> r & 1
-            if (c == k and not present) or (i <= c < k and present):
-                defects.append(r)
+        defects = defects_oracle(v, k, i, S, bits)
         if len(defects) == 1:
             r = defects[0]
             out.append((S, r, "remove" if bits >> r & 1 else "add"))
@@ -160,6 +167,29 @@ def flip_all_oracle(f, x):
     """(f(x), sensitive bits of x) by one full evaluation of every flip."""
     fx = f.value(x)
     return fx, tuple(i for i in range(f.n) if f.value(x ^ (1 << i)) != fx)
+
+
+def certify_oracle(f, bits, blocks):
+    """Reference for certify_blocks: each block in turn checked by bitmask
+    and by one scalar `value` call at bits ^ block.  The certified blocks,
+    or (exception class, message) of the first bad block."""
+    try:
+        fx = f.value(bits)
+        used = 0
+        norm = []
+        for idx, b in enumerate(blocks):
+            if b and min(b) < 0:
+                raise BadParameter(f"negative edge id {min(b)}")
+            mask = sum(1 << r for r in set(b))
+            if mask & used:
+                raise BadParameter(f"block #{idx} overlaps an earlier block")
+            used |= mask
+            if f.value(bits ^ mask) == fx:
+                raise NonSensitiveBlock(idx)
+            norm.append(tuple(sorted(b)))
+    except (BadParameter, NonSensitiveBlock) as exc:
+        return type(exc), str(exc)
+    return tuple(norm)
 
 
 def bs_brute(f, x):

@@ -364,6 +364,41 @@ def test_huge_witness_term_is_refused_before_any_row(capsys, monkeypatch):
     assert f"past the term budget of {properties.MAX_TERM_ROWS}" in err
 
 
+def test_reports_at_v_1_have_no_edges_and_no_sensitivity(capsys):
+    # IsolatedVertexProperty(1) has k = 2 > v and no input bits; its
+    # reports show the input without building a Hypergraph
+    argv = ("--property", "isolated-vertex", "--v", "1", "--input", "zeros")
+    results = {}
+    for command in ("sens", "bsens"):
+        code, out, _ = run(capsys, command, *argv)
+        assert code == 0
+        results[command] = json.loads(out)
+    sens, bsens = results["sens"], results["bsens"]
+    assert (sens["f_value"], sens["s_at_x"]) == (1, 0)
+    assert (bsens["bs"], bsens["certificate"]["blocks"]) == (0, [])
+    assert sens["input"] == bsens["certificate"]["input"] == {
+        "v": 1, "k": 2, "edges": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        ("--property isolated-triangle --v 9", 9),
+        ("--property isolated-clique --v 8 --k 3 --i 2 --h 4", 13),
+    ],
+)
+def test_packing_at_a_witness_names_the_first_block_that_does_not_flip(
+    capsys, argv, block
+):
+    # at f = 1 a packing block away from the witness clique adds a second
+    # one and leaves f = 1; the golden stdout pins only the exit code
+    code, out, err = run(capsys, "bsens", *argv.split(), "--input", "witness",
+                         "--mode", "lower")
+    assert (code, out) == (1, "")
+    assert err == f"error: block #{block} does not flip the function value\n"
+
+
 def test_bsens_max_block_size_zero_is_domain_error(capsys):
     for cap in ("0", "-1"):
         code, out, err = run(

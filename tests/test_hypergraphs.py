@@ -154,6 +154,19 @@ def test_colex_ranks_refuse_ranks_past_int64():
         colex_ranks(400, 12, top)
 
 
+def test_an_edge_past_the_bitset_budget_is_refused_before_any_shift():
+    """An edge whose int64 rank is past 2^32 would ask for a bitset of
+    gigabytes; from_edges refuses it, naming the budget, and allocates
+    nothing of that size on the way."""
+    edge = tuple(range(29, 41))
+    r = rank_subset(edge, 12)
+    assert hypergraphs.MAX_BITSET_BITS == 1 << 32 < r < 1 << 63
+    with pytest.raises(TooLarge, match=rf"edge id {r} .* bitset budget of 2\^32 bits"):
+        Hypergraph.from_edges(400, 12, [edge, tuple(range(12))])
+    with pytest.raises(TooLarge, match="bitset budget"):
+        bits_of_ranks([3, 1 << 32])
+
+
 def test_edges_of_bits_rejects_a_rank_past_the_slots():
     with pytest.raises(BadParameter, match=r"rank 280840 outside \[0, C\(120,3\)\)"):
         edges_of_bits(120, 3, 1 << math.comb(120, 3))

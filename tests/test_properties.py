@@ -332,7 +332,7 @@ class TestBatchEvaluator:
     def test_seeded_inputs_at_n_20_21(self, prop):
         # uniform inputs, and planted witnesses under a random relabelling
         # and a sparse random flip mask, so that both values occur
-        planted = prop.graph(prop.witness())
+        planted = Hypergraph(prop.v, prop.k, prop.witness())
         rng = SplitMix64(43)
         inputs = []
         for j in range(10_000):

@@ -8,6 +8,8 @@ import pytest
 from conftest import (
     BitsProperty,
     bs_brute,
+    certify_oracle,
+    defects_oracle,
     flip_all_oracle,
     minimal_blocks_from_table,
     flip_edge,
@@ -25,7 +27,12 @@ from hypersens.errors import (
     TooLarge,
     ValueIsOne,
 )
-from hypersens.hypergraphs import Hypergraph, rank_subset, ranks_of_bits
+from hypersens.hypergraphs import (
+    Hypergraph,
+    bits_of_ranks,
+    rank_subset,
+    ranks_of_bits,
+)
 from hypersens.properties import (
     CyclicRubinsteinProperty,
     IsolatedCliqueProperty,
@@ -256,7 +263,7 @@ def test_census_matches_flip_oracles(f):
 )
 def test_census_at_s1_witnesses_checks_every_bit(f):
     sigma = SplitMix64(89 + f.v).permutation(f.v)
-    x = f.graph(f.witness()).relabel(sigma).bits
+    x = Hypergraph(f.v, f.k, f.witness()).relabel(sigma).bits
     report = sensitivity_at(f, x)
     assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x)
     assert report.s_at_x == f.witness_term_size()
@@ -596,6 +603,117 @@ class TestCertifyBlocks:
     def test_overlap_rejected(self):
         with pytest.raises(BadParameter, match="block #1 overlaps an earlier block"):
             certify_blocks(or_property(4), 0, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            IsolatedTriangleProperty(6),
+            IsolatedCliqueProperty(6, 3, 2, 4),
+            IsolatedCliqueProperty(7, 3, 2, 5),  # no local rule: value per block
+            IsolatedVertexProperty(5),
+            RubinsteinProperty(4),
+        ],
+        ids=lambda f: "-".join(map(str, f.spec_json().values())),
+    )
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            [],
+            ["overlap"],
+            ["negative"],
+            ["past_n"],
+            ["flat"],
+            ["flat", "overlap"],
+            ["flat", "negative"],
+            ["good", "negative_and_overlap"],
+            ["good", "overlap_and_past_n"],
+            ["good", "flat", "past_n"],
+            ["empty"],
+        ],
+    )
+    def test_error_order_matches_scalar_certification(self, f, tail):
+        """After a good block at the witness input, each bad block raises
+        the same exception and message as one scalar value call per block,
+        and the first bad block in order wins."""
+        x = f.witness()
+        fx = f.value(x)
+        flips = [r for r in range(f.n) if f.value(x ^ (1 << r)) != fx]
+        flat = next(r for r in range(f.n) if r not in flips)
+        good, spare = (flips[0],), flips[1]
+        make = {
+            "good": (spare,),
+            "overlap": (spare, good[0]),
+            "negative": (spare, -1),
+            "past_n": (spare, f.n),
+            "flat": (flat,),
+            "negative_and_overlap": (good[0], -2),
+            "overlap_and_past_n": (good[0], f.n + 3),
+            "empty": (),
+        }
+        blocks = [good] + [make[name] for name in tail]
+        expected = certify_oracle(f, x, blocks)
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as exc:
+                certify_blocks(f, x, blocks)
+            assert str(exc.value) == expected[1]
+        else:
+            assert certify_blocks(f, x, blocks).blocks == expected
+
+    def test_index_disagreeing_with_value_is_a_mismatch(self, monkeypatch):
+        f = IsolatedTriangleProperty(6)
+        monkeypatch.setattr(f, "value", lambda x: 1)
+        with pytest.raises(EvaluatorMismatch, match="edge index finds 0 h-sets"):
+            certify_blocks(f, 0, [])
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        IsolatedTriangleProperty(7),
+        IsolatedTriangleProperty(12),
+        IsolatedCliqueProperty(8, 3, 1, 4),
+        IsolatedCliqueProperty(8, 3, 2, 4),
+        IsolatedCliqueProperty(9, 4, 2, 5),
+        IsolatedCliqueProperty(6, 3, 3, 4, allow_i_equal_k=True),
+        IsolatedCliqueProperty(7, 3, 2, 5),  # no local rule: value per block
+        IsolatedVertexProperty(6),
+        IsolatedVertexProperty(12),
+    ],
+    ids=lambda f: "-".join(map(str, f.spec_json().values())),
+)
+def test_local_rule_matches_scalar_value_on_every_block(f):
+    """f(x ^ B) by the local rule equals scalar value on every block: every
+    single edge; for sampled h-sets S its defects (which make S an isolated
+    clique), those with an extra edge or with one left out, and its inside
+    edges; and random blocks of 2 to 4 positions.  The inputs are planted
+    isolated h-sets with and without noise (one edge flipped among them),
+    random sparse inputs and random dense ones."""
+    v, k, i, h = f.v, f.k, f.i, f.h
+    rng = SplitMix64(97 + f.n + 7 * i)
+    inputs = _planted_graph_inputs(f, 101 + f.n, count=8)
+    inputs += [rng.bits(f.n) & rng.bits(f.n) & rng.bits(f.n) for _ in range(3)]
+    inputs += [rng.bits(f.n) | rng.bits(f.n) for _ in range(2)]
+    seen_x, seen_y = set(), set()
+    for x in inputs:
+        blocks = [[r] for r in range(f.n)]
+        for _ in range(6):
+            S = sorted(rng.permutation(v)[:h])
+            defects = defects_oracle(v, k, i, S, x)
+            extra = rng.below(f.n)
+            blocks += [defects, sorted(set(defects) | {extra}), defects[1:]]
+            blocks.append([rank_subset(e, k) for e in combinations(S, k)])
+        for size in (2, 3, 4):
+            blocks += [
+                sorted(set(rng.below(f.n) for _ in range(size))) for _ in range(4)
+            ]
+        fx = f.value(x)
+        local = list(f.flipped_values(x, fx, blocks))
+        scalar = [f.value(x ^ bits_of_ranks(b)) for b in blocks]
+        assert local == scalar, x
+        seen_x.add(fx)
+        seen_y.update((fx, y) for y in scalar)
+    assert seen_x == {0, 1}
+    assert seen_y == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 class TestSensitiveTuples:
