@@ -118,6 +118,18 @@ def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:
     return _colex_columns(v, k)[below, rows].sum(axis=-1)
 
 
+def edge_permutation(v: int, k: int, sigma) -> np.ndarray:
+    """The permutation of the C(v, k) edge positions that the vertex
+    permutation sigma (old -> new) induces: the int64 array whose entry at
+    the colex rank of each k-subset S is the colex rank of sigma(S)."""
+    rows = lex_subsets(v, k)
+    perm = np.empty(len(rows), dtype=np.int64)
+    perm[colex_ranks(v, k, rows)] = colex_ranks(
+        v, k, np.asarray(sigma, dtype=np.intp)[rows]
+    )
+    return perm
+
+
 def _check_ranks(v: int, k: int, ranks: list[int]) -> None:
     """BadParameter naming the first of the ascending ranks past C(v, k)."""
     slots = math.comb(v, k)

@@ -25,9 +25,11 @@ order, one level of same-size masks at a time, where an (input, mask)
 pair is skipped unflipped when one of the mask's one-bit-smaller subsets
 already holds a sensitive block at that input.  `minimal_sensitive_blocks`
 is its one-input case and flips through `evaluate_batch`;
-`block_sensitivity_global` walks every input, a chunk of inputs at a time,
-and flips by table lookup: block B is sensitive at x iff
-table[x ^ B] != table[x].
+`block_sensitivity_global` walks a chunk of inputs at a time and flips by
+table lookup: block B is sensitive at x iff table[x ^ B] != table[x].  A
+graph property is invariant under relabelling its v vertices, and so is
+bs(f, x), so its walk visits only the least input of each S_v orbit, in
+ascending order; any other function's walk visits every input.
 
 Batch results are spot-checked against the scalar evaluator, not proved
 by it.  `sensitivity_global` and `block_sensitivity_global` build the same
@@ -35,11 +37,13 @@ truth table, compared with scalar `value` at 256 fixed inputs, and
 recompute their value at the argmax: s at the argmax of s0 and of s1 with
 `sensitivity_at`, bs at the smallest input of largest bs with
 `block_sensitivity_exact`; any difference raises EvaluatorMismatch.  A
-wrong `patterns()` term that changes neither a sampled input nor the
-argmax passes both checks: at n = 10 the samples hit 231 of the 1,024
-inputs, and `IsolatedTriangleProperty(5)` with its term 1 dropped returns
-the right s with no error.  The full guard is `TestBatchEvaluator` in the
-tests, which compares every input for each property.
+graph property's terms must also have the shape check_patterns() asks
+for, and its whole table must be invariant under two generators of S_v,
+which the orbit walk needs.  A wrong `patterns()` term that passes these
+checks and changes neither a sampled input nor the argmax goes unseen: at
+n = 10 the samples hit 231 of the 1,024 inputs.  The full guard is
+`TestBatchEvaluator` in the tests, which compares every input for each
+property.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
 which has the two paths of `sensitivity_at`.  It evaluates f once, at x.  A
 graph property then decides each f(x ^ B) locally, from the h-sets that meet
@@ -75,7 +79,7 @@ from .errors import (
     ValueIsOne,
     check_deadline,
 )
-from .hypergraphs import bits_of_ranks, ranks_of_bits
+from .hypergraphs import bits_of_ranks, edge_permutation, ranks_of_bits
 from .properties import GraphPropertyBase, input_bits
 from .rng import SplitMix64
 
@@ -155,6 +159,7 @@ class GlobalBlockSensitivity:
     value: int
     argmax: int
     certificate: BlockCertificate  # at argmax, through certify_blocks
+    inputs_walked: int  # inputs whose minimal blocks the walk read
 
 
 @dataclass(frozen=True)
@@ -273,17 +278,25 @@ def truth_table(f, deadline=None) -> np.ndarray:
     return table
 
 
-def _checked_table(f, deadline) -> np.ndarray:
-    """f's batch truth table, compared with scalar `value` at
-    GLOBAL_CHECK_SAMPLES fixed SplitMix64 inputs; EvaluatorMismatch on any
-    difference.  A sample, not a proof: a wrong `patterns()` term off the
-    sampled inputs goes unseen here (`TestBatchEvaluator` checks every
-    input), except that a graph property's terms must first pass its
-    check_patterns()."""
+def _checked_table(f, deadline) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(f's batch truth table, the images of every input under generators of
+    the vertex relabellings; see _relabelling_images).
+
+    The table is compared with scalar `value` at GLOBAL_CHECK_SAMPLES fixed
+    SplitMix64 inputs; EvaluatorMismatch on any difference.  A sample, not a
+    proof: a wrong `patterns()` term off the sampled inputs goes unseen here
+    (`TestBatchEvaluator` checks every input), except that a graph
+    property's terms must first pass its check_patterns(), and its table
+    must then be invariant under relabelling the vertices: table[g(x)] ==
+    table[x] at every input x for both generators g, or EvaluatorMismatch
+    naming the property.  Invariance under the generators is invariance
+    under all of S_v, on which the orbit walk of block_sensitivity_global
+    rests."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"exhaustive sweep over 2^{n} inputs exceeds the budget")
-    if isinstance(f, GraphPropertyBase):
+    graph = isinstance(f, GraphPropertyBase)
+    if graph:
         f.check_patterns()
     table = truth_table(f, deadline)
     rng = SplitMix64(GLOBAL_CHECK_SEED)
@@ -294,7 +307,62 @@ def _checked_table(f, deadline) -> np.ndarray:
                 f"batch table gives f={table[x]} at input {x}; scalar value"
                 f" gives f={f.value(x)}"
             )
-    return table
+    images = _relabelling_images(f.v, f.k) if graph else ()
+    for image in images:
+        moved = np.flatnonzero(table[image] != table)
+        if moved.size:
+            x = int(moved[0])
+            raise EvaluatorMismatch(
+                f"batch table of {f.name} is not invariant under relabelling"
+                f" the vertices: f={table[x]} at input {x}, f={table[image[x]]}"
+                f" at its image {image[x]}"
+            )
+    return table, images
+
+
+def _relabelling_images(v: int, k: int) -> tuple[np.ndarray, ...]:
+    """The image of every k-uniform hypergraph on v vertices, as an input of
+    C(v, k) bits, under the transposition (0 1) and under the v-cycle
+    (0 1 ... v-1) of the vertices, which generate S_v: two uint32 arrays
+    indexed by the input.  Empty at v < 2, where S_v is trivial.
+
+    Each vertex permutation moves edge position e to perm[e]; an input
+    with top bit e is an input below 2^e plus bit e, so n passes, the
+    e-th over 2^e entries, fill the 2^n images."""
+    if v < 2:
+        return ()
+    n = math.comb(v, k)
+    images = []
+    for sigma in ([1, 0, *range(2, v)], [*range(1, v), 0]):
+        image = np.zeros(1 << n, dtype=np.uint32)
+        for e, p in enumerate(edge_permutation(v, k, sigma).tolist()):
+            image[1 << e : 2 << e] = image[: 1 << e] | np.uint32(1 << p)
+        images.append(image)
+    return tuple(images)
+
+
+def _orbit_minima(images, size: int, deadline) -> np.ndarray:
+    """The least input of every orbit of the group that the input
+    permutations `images` generate, ascending, as uint32; all `size`
+    inputs when there is no image.
+
+    Min-label propagation: every input starts labelled by itself, and a
+    pass lowers each label to the least of its own, those of its images
+    and the label of its label (pointer jumping), until a pass changes
+    nothing.  A label is always a member of its input's orbit, no larger
+    than the input; at the fixed point labels cannot fall along any cycle
+    of a generator, so they are constant on each orbit, and an orbit's
+    least input keeps its own label."""
+    label = np.arange(size, dtype=np.uint32)
+    while True:
+        check_deadline(deadline)
+        lowered = label.copy()
+        for image in images:
+            np.minimum(lowered, label[image], out=lowered)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return np.flatnonzero(label == np.arange(size)).astype(np.uint32)
+        label = lowered
 
 
 def sensitivity_global(f, deadline=None) -> GlobalSensitivity:
@@ -305,7 +373,7 @@ def sensitivity_global(f, deadline=None) -> GlobalSensitivity:
     any difference.
     """
     n = f.n
-    table = _checked_table(f, deadline)
+    table, _ = _checked_table(f, deadline)
     s_at = np.zeros(1 << n, dtype=np.uint32)
     for i in range(n):
         check_deadline(deadline)
@@ -438,16 +506,15 @@ def minimal_sensitive_blocks(
     return sorted(tuple(ranks_of_bits(m)) for m in found.tolist())
 
 
-def _minimal_blocks_everywhere(table: np.ndarray, n: int, deadline):
+def _minimal_blocks_everywhere(table: np.ndarray, n: int, inputs, deadline):
     """(x, the minimal sensitive blocks at x as masks in level order) for
-    every input x in ascending order, read off the truth table: block B is
-    sensitive at x iff table[x ^ B] != table[x].  Inputs go through
-    _block_walk in chunks small enough that a chunk times the largest level
-    stays within BATCH_CHUNK pairs."""
-    size = 1 << n
+    every input x of the uint32 array `inputs`, in its order, read off the
+    truth table: block B is sensitive at x iff table[x ^ B] != table[x].
+    Inputs go through _block_walk in chunks small enough that a chunk times
+    the largest level stays within BATCH_CHUNK pairs."""
     chunk = max(1, BATCH_CHUNK // math.comb(n, n // 2))
-    for start in range(0, size, chunk):
-        xs = np.arange(start, min(start + chunk, size), dtype=np.uint32)
+    for start in range(0, len(inputs), chunk):
+        xs = inputs[start : start + chunk]
         fx = table[xs]
 
         def flips(rows, masks):
@@ -457,23 +524,35 @@ def _minimal_blocks_everywhere(table: np.ndarray, n: int, deadline):
         order = np.argsort(rows, kind="stable")  # keeps level order per input
         bounds = np.searchsorted(rows[order], np.arange(len(xs) + 1)).tolist()
         masks = masks[order].tolist()
-        for j in range(len(xs)):
-            yield start + j, masks[bounds[j] : bounds[j + 1]]
+        for j, x in enumerate(xs.tolist()):
+            yield x, masks[bounds[j] : bounds[j + 1]]
 
 
 def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     """Exact max of bs(f, x) over all inputs; ties go to the smallest bitmask.
 
-    The minimal blocks of every input come from one walk over the truth
-    table checked by _checked_table; an input is packed only when it has
-    more minimal blocks than the best packing so far, since bs(f, x) is at
-    most their number.  bs is recomputed by `block_sensitivity_exact` at
-    the argmax, whose certificate `certify_blocks` re-verifies without the
-    table; EvaluatorMismatch on any difference.
+    The minimal blocks come from one walk over the truth table checked by
+    _checked_table, in ascending input order; an input is packed only when
+    it has more minimal blocks than the best packing so far, since bs(f, x)
+    is at most their number.  bs is recomputed by `block_sensitivity_exact`
+    at the argmax, whose certificate `certify_blocks` re-verifies without
+    the table; EvaluatorMismatch on any difference.
+
+    A graph property's walk visits only the least input of each orbit of
+    S_v, the vertex relabellings; any other function's visits every input.
+    The walk gives the same value and argmax as the walk over every input,
+    ties included.  _checked_table has shown the table invariant under S_v,
+    and a relabelling maps the disjoint sensitive blocks at x one to one
+    onto those at its image, so bs is constant on each orbit.  Let x* be
+    the smallest input of largest bs.  An orbit-mate of x* has the same bs,
+    so none lies below x*: x* is the least input of its orbit and is
+    walked.  Every walked input below x* has a smaller bs, so the ascending
+    walk first reaches the largest bs at x*.
     """
-    table = _checked_table(f, deadline)
+    table, images = _checked_table(f, deadline)
+    inputs = _orbit_minima(images, len(table), deadline)
     best, argmax = -1, 0
-    for x, blocks in _minimal_blocks_everywhere(table, f.n, deadline):
+    for x, blocks in _minimal_blocks_everywhere(table, f.n, inputs, deadline):
         if len(blocks) > best:
             count, _ = _pack_blocks(blocks, deadline)
             if count > best:
@@ -491,7 +570,10 @@ def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
             f" scan gives bs={check.value}"
         )
     return GlobalBlockSensitivity(
-        value=best, argmax=argmax, certificate=check.certificate
+        value=best,
+        argmax=argmax,
+        certificate=check.certificate,
+        inputs_walked=len(inputs),
     )
 
 

@@ -22,6 +22,7 @@ from hypersens.hypergraphs import (
     boundary_count,
     colex_ranks,
     degrees,
+    edge_permutation,
     edges_of_bits,
     rank_subset,
     ranks_of_bits,
@@ -237,6 +238,17 @@ def test_relabel_matches_the_rank_subset_oracle(v, k):
         G = Hypergraph(v, k, bits_of_ranks(ranks))
         sigma = rng.permutation(v)
         assert G.relabel(sigma) == relabel_oracle(G, sigma)
+
+
+@pytest.mark.parametrize("v,k", [(2, 2), (5, 2), (6, 3), (7, 4)])
+def test_edge_permutation_moves_each_edge_as_relabel_does(v, k):
+    rng = SplitMix64(v * 11 + k)
+    for sigma in ([1, 0, *range(2, v)], [*range(1, v), 0], rng.permutation(v)):
+        perm = edge_permutation(v, k, sigma)
+        assert sorted(perm.tolist()) == list(range(math.comb(v, k)))
+        for e in range(math.comb(v, k)):
+            G = Hypergraph(v, k, 1 << e)
+            assert relabel_oracle(G, sigma).bits == 1 << int(perm[e])
 
 
 def test_json_round_trips():

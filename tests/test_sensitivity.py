@@ -1,5 +1,6 @@
 """Sensitivity engines against independent oracles."""
 
+import math
 import time
 from itertools import combinations
 
@@ -13,12 +14,14 @@ from conftest import (
     flip_all_oracle,
     minimal_blocks_from_table,
     flip_edge,
+    graph_orbit_reps,
     naive_isolated_clique_value,
     or_property,
     sensitive_tuples_oracle,
     table_property,
 )
 
+from hypersens import sensitivity
 from hypersens.errors import (
     BadParameter,
     CellBudgetExceeded,
@@ -35,6 +38,7 @@ from hypersens.hypergraphs import (
 )
 from hypersens.properties import (
     CyclicRubinsteinProperty,
+    GraphPropertyBase,
     IsolatedCliqueProperty,
     IsolatedTriangleProperty,
     IsolatedVertexProperty,
@@ -44,8 +48,12 @@ from hypersens.properties import (
 from hypersens.rng import SplitMix64
 from hypersens.scaling import run_scan
 from hypersens.sensitivity import (
+    GLOBAL_CHECK_SAMPLES,
+    GLOBAL_CHECK_SEED,
     _minimal_blocks_everywhere,
+    _orbit_minima,
     _pack_blocks,
+    _relabelling_images,
     block_sensitivity_exact,
     block_sensitivity_global,
     certify_blocks,
@@ -391,6 +399,54 @@ class TestSensitivityGlobal:
                 sensitivity_global(f)
 
 
+@pytest.mark.parametrize(
+    "v, k", [(v, 2) for v in range(1, 6)] + [(v, 3) for v in range(3, 6)]
+)
+def test_orbit_minima_are_the_isomorphism_class_representatives(v, k):
+    reps = _orbit_minima(_relabelling_images(v, k), 1 << math.comb(v, k), None)
+    assert reps.tolist() == graph_orbit_reps(v, k)
+
+
+def test_orbit_counts_are_the_graph_counts():
+    # the number of graphs on v unlabelled vertices, OEIS A000088
+    counts = [
+        len(_orbit_minima(_relabelling_images(v, 2), 1 << math.comb(v, 2), None))
+        for v in range(1, 7)
+    ]
+    assert counts == [1, 2, 4, 11, 34, 156]
+
+
+def _non_invariant_triangle():
+    """IsolatedTriangleProperty(5) whose term of {0, 1, 2} requires the edge
+    {3, 4} absent instead of the crossing edge {0, 3}.  Its patterns() pass
+    check_patterns(), and the batch table agrees with scalar `value` at
+    every sampled input (no other 4-edge care for one term of
+    IsolatedVertexProperty(5) does both), but the table changes at 2 inputs
+    that form no orbit."""
+    f = IsolatedTriangleProperty(5)
+    (care, want), *rest = f.patterns()
+    care ^= 1 << rank_subset((0, 3)) | 1 << rank_subset((3, 4))
+    wrong = ((care, want), *rest)
+    f.patterns = lambda: wrong
+    return f
+
+
+@pytest.mark.parametrize("engine", [sensitivity_global, block_sensitivity_global])
+def test_a_table_that_breaks_the_vertex_symmetry_is_caught(engine):
+    f = _non_invariant_triangle()
+    f.check_patterns()
+    table = truth_table(f)
+    rng = SplitMix64(GLOBAL_CHECK_SEED)
+    for _ in range(GLOBAL_CHECK_SAMPLES):
+        x = rng.bits(f.n)
+        assert table[x] == f.value(x)
+    with pytest.raises(
+        EvaluatorMismatch,
+        match="isolated-triangle is not invariant under relabelling the vertices",
+    ):
+        engine(f)
+
+
 class TestMinimalBlocks:
     def test_or_at_zero_gives_singletons(self):
         blocks = minimal_sensitive_blocks(or_property(5), 0, 3)
@@ -508,6 +564,7 @@ _GLOBAL_BS_CASES = [
     CyclicRubinsteinProperty(2),
     table_property(SplitMix64(59).bits(1 << 9), 9),
 ]
+_GRAPH_BS_CASES = [f for f in _GLOBAL_BS_CASES if isinstance(f, GraphPropertyBase)]
 
 
 class TestBlockSensitivityGlobal:
@@ -519,7 +576,8 @@ class TestBlockSensitivityGlobal:
         packing equal minimal_sensitive_blocks and block_sensitivity_exact;
         the global max is theirs, at the smallest input that attains it."""
         seen = []
-        for x, masks in _minimal_blocks_everywhere(truth_table(f), f.n, None):
+        every = np.arange(1 << f.n, dtype=np.uint32)
+        for x, masks in _minimal_blocks_everywhere(truth_table(f), f.n, every, None):
             expected = minimal_sensitive_blocks(f, x, f.n)
             assert sorted(tuple(ranks_of_bits(m)) for m in masks) == expected, x
             bs = block_sensitivity_exact(f, x, f.n).value
@@ -530,6 +588,38 @@ class TestBlockSensitivityGlobal:
         assert (g.value, g.argmax) == (max(seen), seen.index(max(seen)))
         assert g.certificate.count == g.value
         assert certify_blocks(f, g.argmax, g.certificate.blocks).count == g.value
+
+    @pytest.mark.parametrize(
+        "f", _GRAPH_BS_CASES, ids=[f"{f.name}-n{f.n}" for f in _GRAPH_BS_CASES]
+    )
+    def test_orbit_walk_equals_the_all_input_walk(self, f, monkeypatch):
+        """A graph property's walk over the least input of each S_v orbit
+        gives the value, argmax and certificate of the walk over every
+        input, which the engine takes when no relabelling is known."""
+        g = block_sensitivity_global(f)
+        monkeypatch.setattr(sensitivity, "_relabelling_images", lambda v, k: ())
+        every = block_sensitivity_global(f)
+        assert every.inputs_walked == 1 << f.n
+        assert g.inputs_walked == len(graph_orbit_reps(f.v, f.k))
+        assert (g.value, g.argmax, g.certificate) == (
+            every.value, every.argmax, every.certificate
+        )
+
+    @pytest.mark.parametrize(
+        "f, value, argmax, walked",
+        [
+            (IsolatedVertexProperty(5), 4, 1, 34),
+            (IsolatedTriangleProperty(5), 9, 7, 34),
+            (IsolatedVertexProperty(6), 5, 0, 156),
+            (IsolatedTriangleProperty(6), 12, 7, 156),
+            (_GLOBAL_BS_CASES[-1], 9, 262, 1 << 9),
+        ],
+        ids=lambda p: getattr(p, "name", None),
+    )
+    def test_inputs_walked(self, f, value, argmax, walked):
+        # one input per isomorphism class of graphs, every input of a table
+        g = block_sensitivity_global(f)
+        assert (g.value, g.argmax, g.inputs_walked) == (value, argmax, walked)
 
     def test_matches_brute_force_dp_on_random_tables(self):
         rng = SplitMix64(43)
