@@ -23,13 +23,16 @@ consecutive inputs.  Minimal sensitive blocks come from one level walk
 (`_block_walk`) over a set of inputs at once: block sizes in ascending
 order, one level of same-size masks at a time, where an (input, mask)
 pair is skipped unflipped when one of the mask's one-bit-smaller subsets
-already holds a sensitive block at that input.  `minimal_sensitive_blocks`
-is its one-input case and flips through `evaluate_batch`;
-`block_sensitivity_global` walks a chunk of inputs at a time and flips by
-table lookup: block B is sensitive at x iff table[x ^ B] != table[x].  A
-graph property is invariant under relabelling its v vertices, and so is
-bs(f, x), so its walk visits only the least input of each S_v orbit, in
-ascending order; any other function's walk visits every input.
+already holds a sensitive block at that input.  A level's masks, in colex
+order, and the rows of those subsets in the level below come from the
+level below by a closed recurrence, with no search.
+`minimal_sensitive_blocks` is the walk's one-input case and flips through
+`evaluate_batch`; `block_sensitivity_global` walks a chunk of inputs at a
+time and flips by table lookup: block B is sensitive at x iff
+table[x ^ B] != table[x].  A graph property is invariant under
+relabelling its v vertices, and so is bs(f, x), so its walk visits only
+the least input of each S_v orbit, in ascending order; any other
+function's walk visits every input.
 
 Batch results are spot-checked against the scalar evaluator, not proved
 by it.  `sensitivity_global` and `block_sensitivity_global` build the same
@@ -403,35 +406,43 @@ def sensitivity_global(f, deadline=None) -> GlobalSensitivity:
     )
 
 
-def _next_level(prev: np.ndarray, n: int) -> np.ndarray:
-    """Sorted masks below 2^n with one bit more than the sorted masks prev.
+def _next_level(
+    prev: np.ndarray, prev_rows: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, subset rows) of the level above (prev, prev_rows): the sorted
+    masks below 2^n with one bit more than the sorted masks prev, and for
+    each mask the rows in prev of its one-bit-smaller subsets, column j
+    dropping its j-th lowest bit.
 
-    Each mask of prev gains one bit b above its top bit; grouped by b, the
-    results come out already in ascending order.
+    Sorted masks of one size are in colex order, so the masks with top bit
+    b form one group, starting at row C(b, size): the first C(b, size - 1)
+    masks of prev, each plus bit b.  The t-th mask of the group drops bit b
+    to row t of prev, and drops its j-th lowest bit below b to row
+    C(b, size - 1) + prev_rows[t, j], that subset of prev[t] plus bit b.
     """
-    return np.concatenate(
-        [prev[: np.searchsorted(prev, 1 << b)] | np.uint32(1 << b) for b in range(n)]
-    )
-
-
-def _subset_rows(masks: np.ndarray, prev: np.ndarray, size: int) -> np.ndarray:
-    """For each mask, the rows in prev of its `size` one-bit-smaller subsets."""
+    size = prev_rows.shape[1] + 1
+    masks = np.empty(math.comb(n, size), dtype=np.uint32)
     rows = np.empty((len(masks), size), dtype=np.min_scalar_type(len(prev) - 1))
-    rest = masks.copy()
-    for j in range(size):
-        low = rest & -rest
-        rest ^= low
-        rows[:, j] = np.searchsorted(prev, masks ^ low)
-    return rows
+    for b in range(size - 1, n):
+        start, count = math.comb(b, size), math.comb(b, size - 1)
+        group = slice(start, start + count)
+        np.bitwise_or(prev[:count], np.uint32(1 << b), out=masks[group])
+        rows[group, :-1] = prev_rows[:count]
+        rows[group, :-1] += count
+        rows[group, -1] = np.arange(count, dtype=rows.dtype)
+    return masks, rows
 
 
 @lru_cache(maxsize=64)
 def _cached_level(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, subset rows) of one level; only for levels whose chain
-    1..size stays within LEVEL_CACHE_MASKS, so rows fit in uint16."""
-    prev = _cached_level(n, size - 1)[0] if size > 1 else np.zeros(1, np.uint32)
-    masks = _next_level(prev, n)
-    rows = _subset_rows(masks, prev, size)
+    """(masks, subset rows) of one level, level 0 being the empty block;
+    each level comes from the one below by _next_level's colex recurrence.
+    Only for levels whose chain 1..size stays within LEVEL_CACHE_MASKS
+    masks."""
+    if size == 0:
+        masks, rows = np.zeros(1, dtype=np.uint32), np.zeros((1, 0), dtype=np.uint8)
+    else:
+        masks, rows = _next_level(*_cached_level(n, size - 1), n)
     masks.flags.writeable = rows.flags.writeable = False
     return masks, rows
 
@@ -446,25 +457,24 @@ def _block_walk(n: int, count: int, max_block_size: int, flips, deadline):
     (input, mask) pair is skipped unflipped when one of the mask's
     one-bit-smaller subsets already holds a sensitive block at that input,
     since a sensitive proper subset would contain a found minimal block.
+    Each level and the rows of those subsets come whole from the level
+    below by _next_level's colex recurrence, cached up to LEVEL_CACHE_MASKS.
     """
     found_rows, found_masks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, np.uint32)]
-    prev = np.zeros(1, dtype=np.uint32)  # level 0 is the empty block
+    level = _cached_level(n, 0)
     held = np.zeros((count, 1), dtype=bool)  # mask is or contains a block
     step = max(1, BATCH_CHUNK // count)
     for size in range(1, max_block_size + 1):
         if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
-            masks, rows = _cached_level(n, size)
+            level = _cached_level(n, size)
         else:
-            masks, rows = _next_level(prev, n), None
+            level = _next_level(*level, n)  # then the level below is freed
+        masks, rows = level
         level_held = np.empty((count, len(masks)), dtype=bool)
         for start in range(0, len(masks), step):
             check_deadline(deadline)
             chunk = masks[start : start + step]
-            sub = (
-                rows[start : start + step]
-                if rows is not None
-                else _subset_rows(chunk, prev, size)
-            )
+            sub = rows[start : start + step]
             chunk_held = held[:, sub[:, 0]]
             for j in range(1, size):
                 chunk_held |= held[:, sub[:, j]]
@@ -478,7 +488,7 @@ def _block_walk(n: int, count: int, max_block_size: int, flips, deadline):
             level_held[:, start : start + len(chunk)] = chunk_held
         if level_held.all():
             break  # every larger mask contains a found block
-        prev, held = masks, level_held
+        held = level_held
     return np.concatenate(found_rows), np.concatenate(found_masks)
 
 

@@ -257,6 +257,27 @@ def minimal_blocks_from_table(table, x, n):
     return [int(b) for b in np.nonzero(minimal)[0]]
 
 
+def block_level_oracle(n, size):
+    """(masks, subset rows) of one level of the minimal-block walk, found by
+    search: every mask below 2^n with `size` bits, ascending, and for each
+    the rows of its one-bit-smaller subsets among the masks with size - 1
+    bits, column j dropping its j-th lowest bit, one searchsorted per
+    column."""
+
+    def level(weight):
+        every = np.arange(1 << n, dtype=np.uint32)
+        return every[np.bitwise_count(every) == weight]
+
+    masks, prev = level(size), level(size - 1)
+    rows = np.empty((len(masks), size), dtype=np.min_scalar_type(len(prev) - 1))
+    rest = masks.copy()
+    for j in range(size):
+        low = rest & -rest
+        rest ^= low
+        rows[:, j] = np.searchsorted(prev, masks ^ low)
+    return masks, rows
+
+
 def graph_orbit_reps(v, k):
     """One representative bitmask per isomorphism class of v-vertex
     k-uniform hypergraphs (the orbit scan marks every image of each new

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import (
     BitsProperty,
+    block_level_oracle,
     bs_brute,
     certify_oracle,
     defects_oracle,
@@ -50,7 +51,9 @@ from hypersens.scaling import run_scan
 from hypersens.sensitivity import (
     GLOBAL_CHECK_SAMPLES,
     GLOBAL_CHECK_SEED,
+    _cached_level,
     _minimal_blocks_everywhere,
+    _next_level,
     _orbit_minima,
     _pack_blocks,
     _relabelling_images,
@@ -477,6 +480,38 @@ class TestMinimalBlocks:
             minimal_sensitive_blocks(or_property(6), 0, cap)
 
 
+class TestBlockLevels:
+    """The colex recurrence of _next_level against the search oracle."""
+
+    @staticmethod
+    def _levels(n, top):
+        level = _cached_level(n, 0)
+        for size in range(1, top + 1):
+            level = _next_level(*level, n)
+            yield size, level
+
+    @pytest.mark.parametrize(
+        "n, top", [(n, n) for n in range(1, 17)] + [(20, 10)]
+    )
+    def test_levels_match_search_oracle(self, n, top):
+        """Every level of n <= 16, and n = 20 up to size 10, where level 7
+        holds C(20, 7) = 77,520 masks, so the rows of levels 8 and up widen
+        to uint32."""
+        for size, (masks, rows) in self._levels(n, top):
+            oracle_masks, oracle_rows = block_level_oracle(n, size)
+            assert len(masks) == math.comb(n, size)
+            assert np.all(masks[1:] > masks[:-1])
+            assert np.all(np.bitwise_count(masks) == size)
+            assert np.array_equal(masks, oracle_masks), (n, size)
+            assert rows.dtype == oracle_rows.dtype
+            assert np.array_equal(rows, oracle_rows), (n, size)
+        if n == 20:
+            assert rows.dtype == np.uint32
+
+    def test_no_input_bits_has_no_block(self):
+        assert minimal_sensitive_blocks(IsolatedVertexProperty(1), 0, 0) == []
+
+
 def _scalar_table(f):
     return np.array([f.value(x) for x in range(1 << f.n)], dtype=np.uint8)
 
@@ -493,8 +528,9 @@ _SCAN_CASES = [
     (IsolatedCliqueProperty(5, 3, 1, 4), 10),
     (IsolatedCliqueProperty(5, 3, 2, 4), 6),
     (table_property(SplitMix64(47).bits(1 << 10), 10), 10),
-    # level 6 holds C(18, 6) = 18,564 masks, past LEVEL_CACHE_MASKS, so its
-    # subset rows are rebuilt per chunk; at 0 every 6-set is a minimal block
+    # level 6 holds C(18, 6) = 18,564 masks, past LEVEL_CACHE_MASKS, so the
+    # walk builds it whole by the colex recurrence on every call; at 0 every
+    # 6-set is a minimal block
     (BitsProperty(18, lambda x: int(x.bit_count() >= 6), "at-least-6"), 6),
 ]
 
