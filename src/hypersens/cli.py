@@ -144,11 +144,15 @@ def cmd_bsens(args):
         }
         _emit_json(args, out)
         return 0
-    # certificate-only lower bound from the canonical packing
+    # certificate-only lower bound: the canonical packing's blocks that flip
+    # f at the input, which are disjoint and so a certificate by themselves
     packing = prop.packing()
     if packing is None:
         raise BadParameter(f"--mode lower is not available for {prop.name!r}")
-    cert = certify_blocks(prop, bits, packing_edge_blocks(packing))
+    blocks = packing_edge_blocks(packing)
+    fx = prop.value(bits)
+    flips = prop.flipped_values(bits, fx, blocks)
+    cert = certify_blocks(prop, bits, [b for b, y in zip(blocks, flips) if y != fx])
     _emit_json(
         args,
         {"bs_lower": cert.count, "certificate": cert.to_json(prop.input_json(bits))},

@@ -24,7 +24,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -91,12 +90,47 @@ def _colex_columns(v: int, k: int) -> np.ndarray:
     return cols
 
 
+# lex_subsets keeps its results up to this many rows, which the term builds
+# and packings ask for again and again; a larger one is built for its one
+# caller and freed with it (clique_packing's tails reach 10^8 bytes)
+LEX_CACHE_ROWS = 1 << 12
+
+
 def lex_subsets(n: int, r: int) -> np.ndarray:
     """The r-subsets of range(n) in lex order, as rows of a (C(n, r), r)
-    int array: index rows that pick r-subsets out of arrays of vertices."""
-    return np.array(list(combinations(range(n), r)), dtype=np.intp).reshape(
-        math.comb(n, r), r
-    )
+    int array: index rows that pick r-subsets out of arrays of vertices.
+    A result of at most LEX_CACHE_ROWS rows is cached and read-only."""
+    if math.comb(n, r) <= LEX_CACHE_ROWS:
+        return _cached_lex_subsets(n, r)
+    return _lex_subsets(n, r)
+
+
+@lru_cache(maxsize=256)
+def _cached_lex_subsets(n: int, r: int) -> np.ndarray:
+    rows = _lex_subsets(n, r)
+    rows.setflags(write=False)
+    return rows
+
+
+def _lex_subsets(n: int, r: int) -> np.ndarray:
+    """lex_subsets built one size s at a time, in a fixed number of array
+    steps per size: the s-subsets with least element a are a joined to the
+    (s-1)-subsets of a+1..n-1, which are the last C(n-1-a, s-1) rows of
+    the (s-1)-subsets of range(n)."""
+    if r == 0:
+        return np.zeros((1, 0), dtype=np.intp)  # the one 0-subset
+    rows = np.arange(n, dtype=np.intp)[:, None]
+    for s in range(2, r + 1):
+        counts = np.array(
+            [math.comb(n - 1 - a, s - 1) for a in range(n - s + 1)], dtype=np.intp
+        )
+        lead = np.repeat(np.arange(len(counts)), counts)
+        # the t-th row overall, in the group of a ending at ends[a], takes
+        # row len(rows) - (ends[a] - t) of the size below
+        ends = np.cumsum(counts)
+        tail = np.arange(len(lead)) + np.repeat(len(rows) - ends, counts)
+        rows = np.concatenate([lead[:, None], rows[tail]], axis=1)
+    return rows
 
 
 def colex_ranks(v: int, k: int, rows: np.ndarray) -> np.ndarray:
@@ -138,19 +172,25 @@ def _check_ranks(v: int, k: int, ranks: list[int]) -> None:
         raise BadParameter(f"rank {bad} outside [0, C({v},{k}))")
 
 
-def _unrank(v: int, k: int, ranks: list[int]) -> list[tuple[int, ...]]:
-    """The vertex tuples of ranks in [0, C(v, k)), in any order, all unranked
-    at once, one searchsorted per vertex position from the largest down:
-    vertex j is the largest n with C(n, j+1) <= the rank left, which is then
-    reduced by C(n, j+1), as in unrank_subset."""
+def unrank_rows(v: int, k: int, ranks) -> np.ndarray:
+    """The vertices of ranks in [0, C(v, k)), in any order, as the sorted
+    rows of a (len(ranks), k) int64 array, all unranked at once, one
+    searchsorted per vertex position from the largest down: vertex j is the
+    largest n with C(n, j+1) <= the rank left, which is then reduced by
+    C(n, j+1), as in unrank_subset."""
     cols = _colex_columns(v, k)
     rest = np.array(ranks, dtype=np.int64)
-    out = []
+    out = np.empty((len(rest), k), dtype=np.int64)
     for j in range(k - 1, -1, -1):
         n = cols[j].searchsorted(rest, side="right") - 1
         rest -= cols[j][n]
-        out.append(n.tolist())
-    return list(zip(*reversed(out)))
+        out[:, j] = n
+    return out
+
+
+def _unrank(v: int, k: int, ranks: list[int]) -> list[tuple[int, ...]]:
+    """unrank_rows as vertex tuples."""
+    return list(map(tuple, unrank_rows(v, k, ranks).tolist()))
 
 
 @lru_cache(maxsize=None)

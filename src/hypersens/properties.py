@@ -51,7 +51,7 @@ colex rank i (see hypergraphs).
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -65,6 +65,8 @@ from .hypergraphs import (
     degrees,
     edges_of_bits,
     lex_subsets,
+    ranks_of_bits,
+    unrank_rows,
 )
 
 # the most care bits _isolation_terms builds in one call, summed over its
@@ -428,12 +430,12 @@ class GraphPropertyBase(Property):
             )
 
     def flipped_values(self, bits: int, fx: int, blocks):
-        """f(bits ^ B) for each block B, a list of edge ranks below n, lazily
-        and in order; fx must be f(bits).  For i = 1, and for i >= 2 at
-        h = k+1, the values come from one edge index of x = bits, patched by
-        each block's edges, so a block costs time in the edges at V(B), the
-        vertices of B's edges, not in n.  Every other (i, h) evaluates f at
-        each x ^ B.
+        """f(bits ^ B) for each block B, a list of edge ranks below n, in
+        order; fx must be f(bits).  At i = 1 the values of all blocks come
+        from one array pass (_isolated_flips).  At i >= 2 and h = k+1 they
+        come lazily from one edge index of x = bits, patched by each block's
+        edges, so a block costs time in the edges at V(B), the vertices of
+        B's edges, not in n.  Every other (i, h) evaluates f at each x ^ B.
 
         Why the h-sets that meet V(B) decide f at y = x ^ B.  The defects of
         an h-set S are edges that meet S in at least i >= 1 vertices.  So an
@@ -441,39 +443,32 @@ class GraphPropertyBase(Property):
         iff some h-set without a defect at x misses V(B), or some S that
         meets V(B) has no defect at y; at f(x) = 0 only the second can hold.
         The sets of the second kind are the h-sets without a defect at y
-        through each u in V(B) (_isolated_at, on the index of y):
+        through each u in V(B):
           - at i = 1 such a set is N_y[u], by the rule of the class
-            docstring: every w in it has degree C(h-1, k-1) and N_y[w] = S
-            (at h = 1: deg_y(u) = 0);
+            docstring, and deg_y(u) = d = C(h-1, k-1) (at h = 1: d = 0 and
+            the set is {u});
           - at i >= 2 and h = k+1 its k inside edges through u are present
             at y, and any two of them share k-1 vertices and unite to S, as
             _near_cliques argues; each such union's defects are read off
-            the index.
+            the index (_isolated_at).
         The h-sets without a defect at x come from the same rule through
         every vertex at i = 1, and from _near_cliques at i >= 2.  There must
         be some iff fx = 1: EvaluatorMismatch if not.
         """
         v, k, i, h = self.v, self.k, self.i, self.h
-        if i > 1 and h != k + 1:
+        if i == 1:
+            yield from self._isolated_flips(bits, fx, blocks)
+            return
+        if h != k + 1:
             for b in blocks:
                 yield self.value(bits ^ bits_of_ranks(b))
             return
         edges = edges_of_bits(v, k, bits)
-        present, by_sub = self._edge_index(edges)
-        if i == 1:
-            at = by_sub
-            matched = {self._isolated_at(u, present, by_sub, at) for u in range(v)}
-            matched.discard(None)
-        else:
-            at = _by_subset(edges, 1)
-            index = (present, by_sub)
-            cands = self._near_cliques(edges, 0)
-            matched = {S for S in cands if not self._defects(index, S, 0)}
-        if bool(matched) != bool(fx):
-            raise EvaluatorMismatch(
-                f"{self.name} gives f={fx}, but its edge index finds"
-                f" {len(matched)} h-sets without a defect"
-            )
+        present, by_sub = index = self._edge_index(edges)
+        at = _by_subset(edges, 1)
+        cands = self._near_cliques(edges, 0)
+        matched = {S for S in cands if not self._defects(index, S, 0)}
+        self._check_matched(len(matched), fx)
         owners: dict = {}
         for S in matched:
             for u in S:
@@ -490,35 +485,135 @@ class GraphPropertyBase(Property):
                     yield 1  # an h-set without a defect misses V(B)
                     continue
             y_at = _Flipped(present, at, flip, flip_at)
-            y_sub = y_at
-            if i > 1:
-                y_sub = _Flipped(present, by_sub, flip, _by_subset(flip, i))
-            yield int(
-                any(self._isolated_at(u, y_sub, y_sub, y_at) for (u,) in flip_at)
+            y_sub = _Flipped(present, by_sub, flip, _by_subset(flip, i))
+            yield int(any(self._isolated_at(u, y_sub, y_at) for (u,) in flip_at))
+
+    def _check_matched(self, count: int, fx: int) -> None:
+        """EvaluatorMismatch unless the edge index of x finds some h-set
+        without a defect (count of them) iff fx = 1."""
+        if bool(count) != bool(fx):
+            raise EvaluatorMismatch(
+                f"{self.name} gives f={fx}, but its edge index finds"
+                f" {count} h-sets without a defect"
             )
 
-    def _isolated_at(self, u: int, present, by_sub, at):
+    def _isolated_flips(self, bits: int, fx: int, blocks) -> list[int]:
+        """flipped_values at i = 1, for every block in one array pass.
+
+        The test is the rule of the class docstring: with d = C(h-1, k-1),
+        an h-set S has no defect at y iff every w in S has deg_y(w) = d and
+        N_y[w] = S.  So the candidates are N_y[u], the union of u's edges at
+        y, for each vertex u of V(B) with deg_y(u) = d (the only h-set
+        through u that can lack a defect, see flipped_values), and for each
+        vertex u with deg_x(u) = d, under a pseudo-block after the last one.
+        A vertex w outside V(B) keeps its edges, so deg_y(w) = d and N_y[w]
+        come from its candidate at x.  A candidate S of block B passes iff
+        it has h vertices and each w in S has a candidate in B, or at x when
+        w is outside V(B), whose set is S.  Those of the pseudo-block are
+        the h-sets without a defect at x, each found through each of its h
+        vertices.  f(x ^ B) = 1 iff some candidate of B passes, or some
+        h-set without a defect at x misses V(B).
+
+        Every step is a sort, a segment sum or a search over the flips of
+        all blocks together, none of them per block."""
+        v, k, h = self.v, self.k, self.h
+        d = math.comb(h - 1, k - 1)
+        nb = len(blocks)
+        # x: its ascending edge ranks, their vertex rows, the degrees, and
+        # the ids of its edges grouped by vertex, those of u from first[u]
+        xr = np.array(ranks_of_bits(bits), dtype=np.int64)
+        m = len(xr)
+        xe = unrank_rows(v, k, xr)
+        deg = np.bincount(xe.ravel(), minlength=v)
+        at_x = np.argsort(xe.ravel(), kind="stable") // k
+        first = np.cumsum(deg) - deg
+        # the flips, one per (block, rank), sorted by block then rank; a
+        # rank repeated inside a block is one flip
+        sizes = [len(b) for b in blocks]
+        rank = np.fromiter(chain.from_iterable(blocks), np.int64, sum(sizes))
+        block = np.repeat(np.arange(nb), sizes)
+        order = np.lexsort((rank, block))
+        rank, block = rank[order], block[order]
+        fresh = np.ones(len(rank), dtype=bool)
+        fresh[1:] = (rank[1:] != rank[:-1]) | (block[1:] != block[:-1])
+        rank, block = rank[fresh], block[fresh]
+        pos, removed = _search(xr, rank)
+        flip_e = unrank_rows(v, k, rank)
+        # deg_y - deg_x at each (block, vertex of V(B)) pair, keyed
+        # block * v + vertex, by one segment sum over the sorted entries
+        entry = (block[:, None] * v + flip_e).ravel()
+        by_pair = np.argsort(entry, kind="stable")
+        entry = entry[by_pair]
+        added = ~np.repeat(removed, k)[by_pair]
+        starts = np.flatnonzero(np.diff(entry, prepend=-1))
+        pair = entry[starts]
+        delta = np.add.reduceat(np.where(added, 1, -1), starts)
+        pair_b, pair_u = pair // v, pair % v
+        # the candidates (block, u), in ascending order of block * v + u
+        near = deg[pair_u] + delta == d
+        at_d = np.flatnonzero(deg == d)
+        cand_b = np.concatenate([pair_b[near], np.full(len(at_d), nb)])
+        cand_u = np.concatenate([pair_u[near], at_d])
+        count = len(cand_u)
+        # the d edges at y of each candidate: x's edges at u that B keeps,
+        # then the edges B adds at u
+        deg_c = deg[cand_u]
+        owner_x = np.repeat(np.arange(count), deg_c)
+        skip = np.repeat(first[cand_u] - (np.cumsum(deg_c) - deg_c), deg_c)
+        eid = at_x[np.arange(len(owner_x)) + skip]
+        _, gone = _search(
+            block[removed] * m + pos[removed], cand_b[owner_x] * m + eid
+        )
+        owner_b, mine = _search(cand_b * v + cand_u, entry[added])
+        owner = np.concatenate([owner_x[~gone], owner_b[mine]])
+        rows = np.concatenate([xe[eid[~gone]], flip_e[by_pair[added][mine] // k]])
+        rows = rows[np.argsort(owner, kind="stable")].reshape(count, d * k)
+        # N_y[u] as a sorted row; row_of[c] is candidate c's row in sets,
+        # which keeps the rows of h vertices, or -1
+        sets = np.concatenate([cand_u[:, None], rows], axis=1)
+        sets.sort(axis=1)
+        step = sets[:, 1:] != sets[:, :-1]
+        size_h = step.sum(axis=1) == h - 1
+        row_of = np.where(size_h, np.cumsum(size_h) - 1, -1)
+        sets, cand_b, cand_u = sets[size_h], cand_b[size_h], cand_u[size_h]
+        head = np.ones((len(sets), 1), dtype=bool)
+        sets = sets[np.concatenate([head, step[size_h]], axis=1)].reshape(-1, h)
+        # the row of the candidate of each w in S: (block, w) when w is in
+        # V(B), else (x, w), whose edges B keeps; S passes iff every one is
+        # a row equal to S
+        n_near = count - len(at_d)
+        row_at_pair = np.full(len(pair), -1)
+        row_at_pair[near] = row_of[:n_near]
+        row_at_x = np.full(v, -1)
+        row_at_x[at_d] = row_of[n_near:]
+        at_p, moved = _search(pair, cand_b[:, None] * v + sets)
+        other = row_at_x[sets]
+        other[moved] = row_at_pair[at_p[moved]]
+        passed = (other >= 0).all(axis=1) & (sets[other] == sets[:, None]).all(
+            axis=(1, 2)
+        )
+        of_x = passed & (cand_b == nb)
+        self._check_matched(int(of_x.sum()) // h, fx)
+        values = np.zeros(nb + 1, dtype=bool)
+        values[cand_b[passed]] = True
+        # the h-sets without a defect at x are disjoint (class docstring);
+        # B misses one of them iff V(B) meets fewer distinct ones than all
+        matched = sets[of_x & (sets[:, 0] == cand_u)]
+        if len(matched):
+            set_of = np.full(v, -1)
+            set_of[matched] = np.arange(len(matched))[:, None]
+            hit = set_of[pair_u] >= 0
+            met = np.sort(pair_b[hit] * len(matched) + set_of[pair_u][hit])
+            met = met[np.diff(met, prepend=-1) != 0] // len(matched)
+            values[:nb] |= np.bincount(met, minlength=nb) < len(matched)
+        return values[:nb].astype(int).tolist()
+
+    def _isolated_at(self, u: int, y, at):
         """An h-set through the vertex u without a defect, as a sorted tuple,
-        or None, at the input whose index is (present, by_sub) (see
-        _edge_index) and whose edges at each vertex w are at.get((w,), ()),
-        by the rules of flipped_values (i = 1, or h = k+1).  At i = 1 the
-        set is the only one through u."""
-        k, h = self.k, self.h
-        if self.i == 1:
-            d = math.comb(h - 1, k - 1)
-            inc = at.get((u,), ())
-            if len(inc) != d:
-                return None
-            N = {u}.union(*inc)
-            if len(N) != h:
-                return None
-            for w in N:
-                if w != u:
-                    inc = at.get((w,), ())
-                    if len(inc) != d or {w}.union(*inc) != N:
-                        return None
-            return tuple(sorted(N))
-        index = (present, by_sub)
+        or None, at i >= 2 and h = k+1, at the input y whose edges at each
+        vertex w are at.get((w,), ()), by the rule of flipped_values; y is a
+        _Flipped view that serves as both parts of _edge_index's index."""
+        index = (y, y)
         by_rest: dict = {}  # the edges through u by their k-1 vertices with u
         seen = set()
         for e in at.get((u,), ()):
@@ -622,6 +717,18 @@ class GraphPropertyBase(Property):
                 f"input is on (v={G.v}, k={G.k}), property on (v={self.v}, k={self.k})"
             )
         return G.bits
+
+
+def _search(keys: np.ndarray, queries) -> tuple[np.ndarray, np.ndarray]:
+    """(at, found) for each query in the ascending array keys: found says
+    whether keys holds it, and at is its position there when found (a
+    position inside keys otherwise).  Sort and search, not np.isin, which
+    imports numpy.ma on first use, about 9 ms of a fresh process."""
+    at = np.searchsorted(keys, queries)
+    if not len(keys):
+        return at, np.zeros(at.shape, dtype=bool)
+    at = np.minimum(at, len(keys) - 1)
+    return at, keys[at] == queries
 
 
 def _by_subset(edges, size: int) -> dict:

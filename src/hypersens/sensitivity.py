@@ -50,10 +50,13 @@ property.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
 which has the two paths of `sensitivity_at`.  It evaluates f once, at x.  A
 graph property then decides each f(x ^ B) locally, from the h-sets that meet
-V(B), the vertices of B's edges (GraphPropertyBase.flipped_values): one edge
-index of x, patched by each block's edges, so that a block costs time in the
-edges at V(B), not in n.  The index must agree with f(x).  Any other
-function is evaluated at every x ^ B.
+V(B), the vertices of B's edges (GraphPropertyBase.flipped_values).  At
+i = 1 that is one array pass over the flips of all blocks at once: per-vertex
+degree changes by a segment sum, the candidate set N[u] of each vertex u of
+the right degree, and a comparison of the candidates' sets.  At i >= 2 and
+h = k+1 it is one edge index of x, patched by each block's edges.  Either way
+a block costs time in the edges at V(B), not in n, and the h-sets found at x
+must agree with f(x).  Any other function is evaluated at every x ^ B.
 
 Block sensitivity is computed by packing inclusion-minimal sensitive blocks:
 every sensitive block contains a minimal one, and replacing the blocks of a

@@ -163,6 +163,43 @@ def sensitive_tuples_oracle(v, k, i, h, bits):
     return out
 
 
+def isolated_flips_oracle(f, bits, fx, blocks):
+    """Reference for `GraphPropertyBase.flipped_values` at i = 1: the local
+    rule one block at a time.  The isolated h-set through a vertex u, if
+    any, is N[u] when deg u = C(h-1, k-1) and every w in N[u] has that
+    degree and N[w] = N[u].  The sets through every vertex of x must exist
+    iff fx = 1; one of them that misses V(B), the vertices of B's edges,
+    keeps f(x ^ B) = 1, and otherwise f(x ^ B) = 1 iff there is such a set
+    through a vertex of V(B) at x ^ B."""
+    v, k, h = f.v, f.k, f.h
+    d = math.comb(h - 1, k - 1)
+    subs = subset_table(v, k)[0]
+
+    def isolated_through(u, edges):
+        def closed(w):
+            at = [e for e in edges if w in e]
+            return {w}.union(*at) if len(at) == d else None
+
+        N = closed(u)
+        if N is None or len(N) != h or any(closed(w) != N for w in N):
+            return None
+        return tuple(sorted(N))
+
+    present = {subs[r] for r in range(len(subs)) if bits >> r & 1}
+    matched = {isolated_through(u, present) for u in range(v)} - {None}
+    assert bool(matched) == bool(fx)
+    out = []
+    for b in blocks:
+        flip = {subs[r] for r in b}
+        touched = set().union(*flip)
+        if any(touched.isdisjoint(S) for S in matched):
+            out.append(1)
+            continue
+        y = present ^ flip
+        out.append(int(any(isolated_through(u, y) for u in touched)))
+    return out
+
+
 def flip_all_oracle(f, x):
     """(f(x), sensitive bits of x) by one full evaluation of every flip."""
     fx = f.value(x)

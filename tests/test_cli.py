@@ -8,8 +8,10 @@ import pytest
 
 from hypersens import properties
 from hypersens.cli import main
-from hypersens.hypergraphs import Hypergraph
+from hypersens.hypergraphs import Hypergraph, bits_of_ranks
+from hypersens.properties import IsolatedCliqueProperty, IsolatedTriangleProperty
 from hypersens.scaling import rows_from_csv
+from hypersens.witnesses import packing_edge_blocks
 
 
 def run(capsys, *argv):
@@ -382,21 +384,35 @@ def test_reports_at_v_1_have_no_edges_and_no_sensitivity(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, block",
+    "argv, prop, count",
     [
-        ("--property isolated-triangle --v 9", 9),
-        ("--property isolated-clique --v 8 --k 3 --i 2 --h 4", 13),
+        ("--property isolated-triangle --v 9", IsolatedTriangleProperty(9), 9),
+        (
+            "--property isolated-clique --v 8 --k 3 --i 2 --h 4",
+            IsolatedCliqueProperty(8, 3, 2, 4),
+            13,
+        ),
     ],
+    ids=["isolated-triangle-9", "isolated-clique-8-3-2-4"],
 )
-def test_packing_at_a_witness_names_the_first_block_that_does_not_flip(
-    capsys, argv, block
+def test_packing_at_a_witness_certifies_the_blocks_that_flip(
+    capsys, argv, prop, count
 ):
-    # at f = 1 a packing block away from the witness clique adds a second
-    # one and leaves f = 1; the golden stdout pins only the exit code
-    code, out, err = run(capsys, "bsens", *argv.split(), "--input", "witness",
-                         "--mode", "lower")
-    assert (code, out) == (1, "")
-    assert err == f"error: block #{block} does not flip the function value\n"
+    """At f = 1 a packing block away from the witness clique adds a second
+    one and leaves f = 1; --mode lower certifies exactly the packing blocks
+    that flip f, by scalar value, in packing order."""
+    code, out, _ = run(capsys, "bsens", *argv.split(), "--input", "witness",
+                       "--mode", "lower")
+    assert code == 0
+    x = prop.witness()
+    flips = [
+        list(b)
+        for b in packing_edge_blocks(prop.packing())
+        if prop.value(x ^ bits_of_ranks(b)) != prop.value(x)
+    ]
+    payload = json.loads(out)
+    assert payload["certificate"]["blocks"] == flips
+    assert payload["bs_lower"] == len(flips) == count
 
 
 def test_bsens_max_block_size_zero_is_domain_error(capsys):

@@ -251,6 +251,24 @@ def test_edge_permutation_moves_each_edge_as_relabel_does(v, k):
             assert relabel_oracle(G, sigma).bits == 1 << int(perm[e])
 
 
+@pytest.mark.parametrize(
+    "n, r",
+    [(0, 0), (0, 1), (3, 0), (3, 5), (1, 1), (5, 2), (6, 6), (9, 4), (21, 3),
+     # the last rows at or below the cache bound, and the first past it
+     (4096, 1), (4097, 1), (91, 2), (92, 2), (30, 4)],
+)
+def test_lex_subsets_match_combinations(n, r):
+    """Every r-subset of range(n) in lex order, as combinations gives them;
+    results up to LEX_CACHE_ROWS rows are one shared read-only array, larger
+    ones a fresh writable array per call."""
+    rows = hypergraphs.lex_subsets(n, r)
+    assert rows.shape == (math.comb(n, r), r)
+    assert list(map(tuple, rows.tolist())) == list(combinations(range(n), r))
+    cached = math.comb(n, r) <= hypergraphs.LEX_CACHE_ROWS
+    assert (hypergraphs.lex_subsets(n, r) is rows) == cached
+    assert rows.flags.writeable != cached
+
+
 def test_json_round_trips():
     G = Hypergraph.from_edges(5, 2, [(0, 1), (2, 4), (1, 3)])
     assert Hypergraph.from_json(G.to_json()) == G

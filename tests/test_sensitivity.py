@@ -1,6 +1,11 @@
 """Sensitivity engines against independent oracles."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import combinations
 
@@ -16,6 +21,7 @@ from conftest import (
     minimal_blocks_from_table,
     flip_edge,
     graph_orbit_reps,
+    isolated_flips_oracle,
     naive_isolated_clique_value,
     or_property,
     sensitive_tuples_oracle,
@@ -71,6 +77,8 @@ from hypersens.witnesses import (
     build_s0_witness,
     build_s1_witness,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestSensitivityAt:
@@ -840,6 +848,101 @@ def test_local_rule_matches_scalar_value_on_every_block(f):
         seen_y.update((fx, y) for y in scalar)
     assert seen_x == {0, 1}
     assert seen_y == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def _disjoint_family(f, x, rng):
+    """A seeded family of disjoint blocks at x: drawn in random order from
+    the defects of random h-sets (those make the set isolated), the inside
+    edges of random h-sets, single edges and random small sets, each kept
+    if it misses the blocks kept so far; then an empty block and one rank
+    repeated inside a block are put in."""
+    v, k, i, h = f.v, f.k, f.i, f.h
+    pool = []
+    for _ in range(8):
+        S = sorted(rng.permutation(v)[:h])
+        pool.append(defects_oracle(v, k, i, S, x))
+        pool.append([rank_subset(e, k) for e in combinations(S, k)])
+        pool.append([rng.below(f.n)])
+        pool.append(sorted({rng.below(f.n) for _ in range(2 + rng.below(4))}))
+    family, used = [], set()
+    for j in rng.permutation(len(pool)):
+        if pool[j] and used.isdisjoint(pool[j]):
+            family.append(list(pool[j]))
+            used.update(pool[j])
+    family.insert(rng.below(len(family) + 1), [])
+    repeat = family[rng.below(len(family))]
+    if repeat:
+        repeat.insert(rng.below(len(repeat) + 1), repeat[0])
+    return family
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        IsolatedVertexProperty(8),
+        IsolatedTriangleProperty(9),
+        IsolatedCliqueProperty(8, 3, 1, 4),
+        IsolatedCliqueProperty(9, 3, 1, 5),
+    ],
+    ids=lambda f: "-".join(map(str, f.spec_json().values())),
+)
+def test_batch_rule_matches_per_block_oracle_and_value(f):
+    """At i = 1, f(x ^ B) from flipped_values' one array pass equals the
+    per-block local rule (conftest.isolated_flips_oracle) and scalar value
+    on seeded disjoint block families, each with an empty block and a rank
+    repeated inside a block, at random sparse, relabelled witness,
+    perturbed witness, planted, dense and empty inputs."""
+    rng = SplitMix64(4321 + f.n + f.h)
+    G = Hypergraph(f.v, f.k, f.witness())
+    witnesses = [G.relabel(rng.permutation(f.v)).bits for _ in range(4)]
+    inputs = [0] + witnesses
+    inputs += [w ^ (1 << rng.below(f.n)) for w in witnesses]
+    inputs += [w ^ (1 << rng.below(f.n)) ^ (1 << rng.below(f.n)) for w in witnesses]
+    inputs += _planted_graph_inputs(f, 4327 + f.n, count=6)
+    inputs += [rng.bits(f.n) & rng.bits(f.n) & rng.bits(f.n) for _ in range(4)]
+    inputs += [rng.bits(f.n) | rng.bits(f.n) for _ in range(3)]
+    seen = set()
+    for x in inputs:
+        fx = f.value(x)
+        for _ in range(6):
+            family = _disjoint_family(f, x, rng)
+            batch = list(f.flipped_values(x, fx, family))
+            oracle = isolated_flips_oracle(f, x, fx, family)
+            scalar = [f.value(x ^ bits_of_ranks(b)) for b in family]
+            assert batch == oracle == scalar, (x, family)
+            seen.update((fx, y) for y in scalar)
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_workload_paths_never_import_numpy_ma():
+    """The first call of np.unique or np.isin imports numpy.ma, about 9 ms
+    of a fresh process.  A fresh interpreter runs a triangle scan with
+    packing certificates, an exact bs at an f = 1 input and the exhaustive
+    bs of the isolated-vertex property, and numpy.ma stays unimported."""
+    code = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from hypersens import IsolatedVertexProperty, block_sensitivity_global
+        from hypersens.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            main("scan --property isolated-triangle --v-start 9 --v-end 57"
+                 " --v-step 6 --columns s_lower,bs_lower".split())
+            main("bsens --property isolated-triangle --v 5 --input witness"
+                 " --max-block-size 3".split())
+        block_sensitivity_global(IsolatedVertexProperty(5))
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 class TestSensitiveTuples:
