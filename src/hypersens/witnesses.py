@@ -16,11 +16,19 @@ Three families of constructions:
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import BadParameter
-from .families import SetFamily, first_overlap, generate_family, trim_sets
+from .families import (
+    SetFamily,
+    first_overlap,
+    generate_family,
+    run_heads,
+    set_incidence,
+    trim_sets,
+)
 from .gf import make_field, prime_power, prime_power_in_range
 from .hypergraphs import (
     Hypergraph,
@@ -138,15 +146,19 @@ def packing_edge_blocks(packing: Packing) -> list[tuple[int, ...]]:
     return [tuple(sorted(r)) for r in ranks.tolist()]
 
 
-def _family_vertex_sets(family: SetFamily, v: int) -> list[tuple[int, ...]]:
+def _family_vertex_sets(family: SetFamily, v: int) -> list[list[int]]:
     """Map universe elements to vertices 0..v-1 by sorted order of use."""
-    elements = sorted({e for s in family.sets for e in s})
+    sizes = np.fromiter(map(len, family.sets), np.int64, len(family.sets))
+    flat = np.fromiter(chain.from_iterable(family.sets), np.int64, int(sizes.sum()))
+    elements = np.sort(flat)
+    elements = elements[run_heads(elements)]
     if len(elements) > v:
         raise BadParameter(
             f"family uses {len(elements)} elements but only {v} vertices exist"
         )
-    index = {e: i for i, e in enumerate(elements)}
-    return [tuple(sorted(index[e] for e in s)) for s in family.sets]
+    vertices = np.searchsorted(elements, flat).tolist()
+    ends = np.cumsum(sizes).tolist()
+    return [vertices[end - size : end] for size, end in zip(sizes.tolist(), ends)]
 
 
 def build_s0_witness(vertex_sets, v: int, k: int, i: int, h: int):
@@ -154,33 +166,39 @@ def build_s0_witness(vertex_sets, v: int, k: int, i: int, h: int):
     edge.  Returns (hypergraph, number of placed sets); the function value is
     0 and re-adding any removed edge flips it to 1.
 
-    `vertex_sets` is an iterable of h-sets of vertices in [0, v) (see
+    `vertex_sets` is a sequence of h-sets of vertices in [0, v) (see
     _family_vertex_sets for a SetFamily).  Pairwise intersections must stay
     below i, which makes every completed clique automatically isolated.
+    The checks run on the sets' incidence (`families.set_incidence`).
     """
     if h < k + 1:
         raise BadParameter(f"need h >= k+1, got h={h}, k={k}")
-    vertex_sets = [tuple(sorted(s)) for s in vertex_sets]
-    for s in vertex_sets:
-        if s and (s[0] < 0 or s[-1] >= v):
-            raise BadParameter(f"set {s} leaves [0, {v})")
-    for s in vertex_sets:
+    incidence = set_incidence(vertex_sets)
+    sizes, owners, vertices = incidence
+    n = len(sizes)
+    outside = np.flatnonzero(
+        np.bincount(owners[(vertices < 0) | (vertices >= v)], minlength=n)
+    )
+    if len(outside):
+        s = tuple(sorted(vertex_sets[outside[0]]))
+        raise BadParameter(f"set {s} leaves [0, {v})")
+    bad = np.flatnonzero((sizes != h) | (np.bincount(owners, minlength=n) != h))
+    if len(bad):
+        s = tuple(sorted(vertex_sets[bad[0]]))
         if len(s) != h:
             raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
-        if len(set(s)) != h:
-            raise BadParameter(f"repeated vertex in {s}")
-    overlap = first_overlap(vertex_sets, i)
+        raise BadParameter(f"repeated vertex in {s}")
+    overlap = first_overlap(vertex_sets, i, incidence)
     if overlap is not None:
         a, b, inter = overlap
         raise BadParameter(
             f"sets #{a} and #{b} share {inter} >= i = {i} vertices"
         )
-    # every set's k-subsets in lex order but the last, the removed one
-    inside = np.array(vertex_sets, dtype=np.int64).reshape(len(vertex_sets), h)[
-        :, lex_subsets(h, k)[:-1]
-    ]
+    # each set's vertices, ascending, form one row; its k-subsets in lex
+    # order but the last, the removed one
+    inside = vertices.reshape(n, h)[:, lex_subsets(h, k)[:-1]]
     ranks = colex_ranks(v, k, inside.reshape(-1, k))
-    return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), len(vertex_sets)
+    return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), n
 
 
 def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from hypersens.errors import BadParameter, NonSensitiveBlock
+from hypersens.families import FamilyCheck
 from hypersens.gf import FieldPoly
 from hypersens.hypergraphs import Hypergraph, rank_subset
 
@@ -366,6 +367,48 @@ def pairwise_first_overlap(sets, bound):
             if inter >= bound:
                 return a, b, inter
     return None
+
+
+def verify_family_oracle(fam):
+    """Reference for `families.verify_family`: one pass over the sets that
+    checks each one's size and its least and largest element, then every
+    pair, then the count bound."""
+    for idx, s in enumerate(fam.sets):
+        if len(s) != fam.set_size:
+            return FamilyCheck(
+                False, f"set #{idx} has size {len(s)}, expected {fam.set_size}"
+            )
+        if s and (min(s) < 1 or max(s) > fam.universe):
+            return FamilyCheck(False, f"set #{idx} leaves [1, {fam.universe}]")
+    overlap = pairwise_first_overlap(fam.sets, fam.d)
+    if overlap is not None:
+        a, b, inter = overlap
+        return FamilyCheck(
+            False, f"sets #{a} and #{b} intersect in {inter} >= d = {fam.d}"
+        )
+    if len(fam.sets) > fam.max_sets:
+        return FamilyCheck(
+            False, f"{len(fam.sets)} sets exceeds q^(d*ell) = {fam.max_sets}"
+        )
+    return FamilyCheck(True)
+
+
+def s0_checks_oracle(vertex_sets, v, i, h):
+    """Reference for the checks of `witnesses.build_s0_witness` on its
+    sets: raises its BadParameter, or returns None when the sets pass."""
+    vertex_sets = [tuple(sorted(s)) for s in vertex_sets]
+    for s in vertex_sets:
+        if s and (s[0] < 0 or s[-1] >= v):
+            raise BadParameter(f"set {s} leaves [0, {v})")
+    for s in vertex_sets:
+        if len(s) != h:
+            raise BadParameter(f"set {s} has size {len(s)}, expected h = {h}")
+        if len(set(s)) != h:
+            raise BadParameter(f"repeated vertex in {s}")
+    overlap = pairwise_first_overlap(vertex_sets, i)
+    if overlap is not None:
+        a, b, inter = overlap
+        raise BadParameter(f"sets #{a} and #{b} share {inter} >= i = {i} vertices")
 
 
 def s0_bits_oracle(vertex_sets, k):

@@ -4,11 +4,17 @@ import hashlib
 import json
 import pathlib
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
-from conftest import pairwise_first_overlap, scalar_family_sets
+from conftest import (
+    pairwise_first_overlap,
+    s0_checks_oracle,
+    scalar_family_sets,
+    verify_family_oracle,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +22,7 @@ from hypersens import families
 from hypersens.errors import BadParameter
 from hypersens.families import (
     MAX_UNIVERSE,
+    FamilyCheck,
     SetFamily,
     first_overlap,
     generate_family,
@@ -23,6 +30,7 @@ from hypersens.families import (
     verify_family,
 )
 from hypersens.gf import make_field, prime_power
+from hypersens.witnesses import build_s0_witness
 
 
 def test_two_constant_polynomials_over_gf2():
@@ -107,6 +115,61 @@ def test_verify_flags_duplicates_and_sizes():
     assert not check.ok and "size" in check.violation
 
 
+def test_verify_checks_every_element_of_an_unsorted_set():
+    # 42 is neither the first nor the last element of set #0
+    fam = SetFamily(
+        q=3, d=1, ell=1, universe=9, sets=((1, 42, 2), (4, 5, 6)), set_size=3
+    )
+    assert verify_family(fam) == FamilyCheck(False, "set #0 leaves [1, 9]")
+
+
+_CHECK_CASES = {
+    "valid": ((1, 2, 3), (4, 5, 6), (7, 8, 9)),
+    "ragged-sizes": ((1, 2, 3), (4, 5), (6, 7, 8)),
+    "out-of-range-vertex": ((1, 2, 3), (4, 5, 6), (7, 8, 12)),
+    "repeated-vertex": ((1, 2, 3), (4, 4, 5)),
+    "unsorted-set": ((3, 1, 2), (6, 42, 5)),
+    "planted-overlap": ((1, 2, 3), (4, 5, 6), (7, 8, 2)),
+    # a short set before an out-of-range one: the family check names the
+    # size, the witness check every range first
+    "short-then-outside": ((1, 2), (3, 4, 42)),
+    "below-one": ((0, 1, 2), (3, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("sets", _CHECK_CASES.values(), ids=_CHECK_CASES.keys())
+def test_incidence_checks_match_the_per_set_oracles(sets):
+    fam = SetFamily(q=3, d=1, ell=1, universe=9, sets=sets, set_size=3)
+    assert verify_family(fam) == verify_family_oracle(fam)
+    try:
+        s0_checks_oracle(sets, 10, 1, 3)
+    except BadParameter as error:
+        with pytest.raises(BadParameter) as raised:
+            build_s0_witness(sets, 10, 2, 1, 3)
+        assert str(raised.value) == str(error)
+    else:
+        assert build_s0_witness(sets, 10, 2, 1, 3)[1] == len(sets)
+
+
+@settings(deadline=None)
+@given(
+    sets=st.lists(st.lists(st.integers(-1, 12), max_size=4), max_size=8),
+    d=st.integers(0, 3),
+    i=st.integers(0, 3),
+)
+def test_checks_match_the_per_set_oracles(sets, d, i):
+    sets = tuple(map(tuple, sets))
+    fam = SetFamily(q=3, d=d, ell=1, universe=9, sets=sets, set_size=3)
+    assert verify_family(fam) == verify_family_oracle(fam)
+    try:
+        s0_checks_oracle(sets, 10, i, 3)
+    except BadParameter as error:
+        with pytest.raises(BadParameter, match=re.escape(str(error))):
+            build_s0_witness(sets, 10, 2, i, 3)
+    else:
+        assert build_s0_witness(sets, 10, 2, i, 3)[1] == len(sets)
+
+
 def test_verify_names_the_first_pair_by_a_then_b():
     # #1/#2 is the first offending pair met when scanning by the later set,
     # but #0/#3 comes first in (a, b) order
@@ -144,8 +207,53 @@ _SETS = st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=12)
 # a few large sets: the element-holder index
 @example(sets=[list(range(0, 40)), list(range(38, 80)), list(range(79, 120))], bound=2)
 @example(sets=[list(range(0, 40)), list(range(40, 80)), list(range(1, 121, 3))], bound=3)
+# bound-subsets too widely spread for one int64 sort key: a lexsort
+@example(sets=[[e << 40 for e in p] for p in combinations(range(6), 3)], bound=2)
+@example(sets=[[e << 40 for e in p] for p in combinations(range(6), 3)], bound=3)
 def test_first_overlap_matches_pairwise_oracle(sets, bound):
     assert first_overlap(sets, bound) == pairwise_first_overlap(sets, bound)
+
+
+def test_set_elements_must_share_an_int64_key_with_the_set_index():
+    with pytest.raises(BadParameter, match="set elements must fit in int64"):
+        first_overlap([[1, 2**63]], 1)
+    # 2 sets times a span of 2^62 + 1 values reach 2^63
+    too_wide = r"the elements of 2 sets span 4611686018427387905 values"
+    with pytest.raises(BadParameter, match=too_wide):
+        first_overlap([[0], [2**62]], 1)
+    assert first_overlap([[0], [2**61], [0, 2**61]], 1) == (0, 2, 1)
+
+
+@settings(deadline=None)
+@given(sets=_SETS, bound=st.integers(1, 6), cap=st.integers(1, 12))
+def test_holder_slabs_match_pairwise_oracle(sets, bound, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(families, "_PAIR_SLAB", cap)
+        assert first_overlap(sets, bound) == pairwise_first_overlap(sets, bound)
+
+
+def test_holder_slabs_find_a_smaller_a_in_a_later_slab(monkeypatch):
+    # with one pair a slab, (1, 3) is found in the slab of b = 3 and the
+    # first pair (0, 5) only in the later slab of b = 5
+    sets = [[0, 9], [1, 2], [3, 4], [1, 2], [5, 6], [0, 9]]
+    monkeypatch.setattr(families, "_PAIR_SLAB", 1)
+    monkeypatch.setattr(families, "_first_overlap_by_subsets", None)
+    assert first_overlap(sets, 2) == (0, 5, 2) == pairwise_first_overlap(sets, 2)
+
+
+def test_holder_slabs_bound_the_peak_memory():
+    # the full GF(32), d = 2 family: 1,024 sets of 32 elements, each element
+    # held by 32 sets, so the holders index makes 1,024 * C(32, 2) = 507,904
+    # pairs; made in one pass they peak at about 9.6 MB, in slabs at 4.1 MB
+    fam = generate_family(make_field(2, 5), 2, 1)
+    tracemalloc.start()
+    try:
+        check = verify_family(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.ok
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -218,6 +326,9 @@ def test_trim_keeps_smallest_elements():
     assert trim_sets(fam, 5).sets == fam.sets  # target == q is a no-op
     with pytest.raises(BadParameter, match="target 6 exceeds set size 5"):
         trim_sets(fam, 6)
+    assert trim_sets(fam, 0).sets == ((),) * len(fam.sets)
+    with pytest.raises(BadParameter, match="need target >= 0, got -1"):
+        trim_sets(fam, -1)
 
 
 def test_trim_never_increases_intersections():

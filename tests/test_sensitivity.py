@@ -917,12 +917,19 @@ def test_batch_rule_matches_per_block_oracle_and_value(f):
 def test_workload_paths_never_import_numpy_ma():
     """The first call of np.unique or np.isin imports numpy.ma, about 9 ms
     of a fresh process.  A fresh interpreter runs a triangle scan with
-    packing certificates, an exact bs at an f = 1 input and the exhaustive
-    bs of the isolated-vertex property, and numpy.ma stays unimported."""
+    packing certificates, an exact bs at an f = 1 input, the exhaustive bs
+    of the isolated-vertex property, and the family route: the full v = 300,
+    k = 3 family witness, the check of a 150-set GF(256) family and the
+    certificate of a relabelled prefix witness.  numpy.ma stays
+    unimported."""
     code = textwrap.dedent(
         """
         import contextlib, io, sys
-        from hypersens import IsolatedVertexProperty, block_sensitivity_global
+        from hypersens import (
+            IsolatedVertexProperty, block_sensitivity_global,
+            build_family_witness, certify_blocks, enumerate_sensitive_tuples,
+            generate_family, make_field, verify_family,
+        )
         from hypersens.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             main("scan --property isolated-triangle --v-start 9 --v-end 57"
@@ -930,6 +937,12 @@ def test_workload_paths_never_import_numpy_ma():
             main("bsens --property isolated-triangle --v 5 --input witness"
                  " --max-block-size 3".split())
         block_sensitivity_global(IsolatedVertexProperty(5))
+        build_family_witness(300, 3)
+        assert verify_family(generate_family(make_field(2, 8), 2, 1, 150)).ok
+        G, count, prop = build_family_witness(300, 3, 6)
+        H = G.relabel([(7 * u + 3) % 300 for u in range(300)])
+        tuples = enumerate_sensitive_tuples(prop, H)
+        assert certify_blocks(prop, H, [(t.edge,) for t in tuples]).count == count
         print("numpy.ma" in sys.modules)
         """
     )
