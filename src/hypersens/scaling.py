@@ -10,8 +10,9 @@ A sweep produces one row per v with up to four measured columns:
     bs_lower  size of the edge-disjoint packing certificate at the empty
               input, every block re-verified by evaluation
     bs_exact  exhaustive max of bs(f, x) over all inputs (tiny n only):
-              one minimal-block walk over the checked truth table,
-              re-certified at the argmax
+              every input's minimal blocks read off the checked truth
+              table by a bit-packed subset-zeta transform, re-certified at
+              the argmax by the one-input level walk
 
 Cells that exceed the per-cell wall-clock budget are left empty and a
 warning is recorded; a sweep is never silently truncated.  Timing columns
@@ -98,15 +99,26 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_from_csv(text: str) -> list[ScalingRow]:
+    """The rows of rows_to_csv's text; BadParameter naming the line when the
+    header is missing or wrong, a row has the wrong number of cells or a
+    cell is neither empty nor an integer."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_FIELDS:
-        raise BadParameter(f"unexpected CSV header {header!r}")
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_FIELDS:
+        raise BadParameter(f"line 1: unexpected CSV header {header!r}")
     out = []
     for rec in reader:
         if not rec:
             continue
-        vals = [None if cell == "" else int(cell) for cell in rec]
+        line = reader.line_num
+        if len(rec) != len(CSV_FIELDS):
+            raise BadParameter(
+                f"line {line}: {len(rec)} cells, expected {len(CSV_FIELDS)}"
+            )
+        try:
+            vals = [None if cell == "" else int(cell) for cell in rec]
+        except ValueError as exc:
+            raise BadParameter(f"line {line}: {exc}") from None
         out.append(ScalingRow(**dict(zip(CSV_FIELDS, vals))))
     return out
 

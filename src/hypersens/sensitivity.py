@@ -19,20 +19,17 @@ the OR of x & care == want over its terms (bit-slicing in the sense of
 Biham, FSE 1997: one pass of word operations covers a whole chunk of
 inputs).  A function without terms, such as an arbitrary table, falls back
 to one scalar `value` call per input.  `truth_table` evaluates chunks of
-consecutive inputs.  Minimal sensitive blocks come from one level walk
-(`_block_walk`) over a set of inputs at once: block sizes in ascending
-order, one level of same-size masks at a time, where an (input, mask)
-pair is skipped unflipped when one of the mask's one-bit-smaller subsets
-already holds a sensitive block at that input.  A level's masks, in colex
-order, and the rows of those subsets in the level below come from the
-level below by a closed recurrence, with no search.
-`minimal_sensitive_blocks` is the walk's one-input case and flips through
-`evaluate_batch`; `block_sensitivity_global` walks a chunk of inputs at a
-time and flips by table lookup: block B is sensitive at x iff
-table[x ^ B] != table[x].  A graph property is invariant under
-relabelling its v vertices, and so is bs(f, x), so its walk visits only
-the least input of each S_v orbit, in ascending order; any other
-function's walk visits every input.
+consecutive inputs.  `minimal_sensitive_blocks` walks one input's blocks
+level by level in ascending size, flipped through `evaluate_batch`, and
+skips a mask unflipped when one of its one-bit-smaller subsets already
+holds a sensitive block; each level, masks in colex order with the rows of
+those subsets, follows from the level below by a closed recurrence.
+`block_sensitivity_global` reads every input's minimal blocks off the truth
+table packed 64 inputs to a word instead: B is sensitive at x iff
+table[x ^ B] != table[x], and an OR-zeta transform over the subsets marks
+the sensitive blocks with a sensitive proper subset.  bs(f, x) of a graph
+property is invariant under relabelling its v vertices, so only the least
+input of each S_v orbit is read, in ascending order.
 
 Batch results are spot-checked against the scalar evaluator, not proved
 by it.  `sensitivity_global` and `block_sensitivity_global` build the same
@@ -42,7 +39,7 @@ recompute their value at the argmax: s at the argmax of s0 and of s1 with
 `block_sensitivity_exact`; any difference raises EvaluatorMismatch.  A
 graph property's terms must also have the shape check_patterns() asks
 for, and its whole table must be invariant under two generators of S_v,
-which the orbit walk needs.  A wrong `patterns()` term that passes these
+which the orbit read needs.  A wrong `patterns()` term that passes these
 checks and changes neither a sampled input nor the argmax goes unseen: at
 n = 10 the samples hit 231 of the 1,024 inputs.  The full guard is
 `TestBatchEvaluator` in the tests, which compares every input for each
@@ -96,10 +93,15 @@ GLOBAL_CHECK_SAMPLES = 256
 GLOBAL_CHECK_SEED = 0x5EED
 MAX_PACKING_BLOCKS = 10_000
 BATCH_BITS = 64  # inputs travel as uint64
-BATCH_CHUNK = 1 << 14  # inputs per batch call, bounding temporary arrays
+BATCH_CHUNK = 1 << 14  # inputs or words per batch step, bounding temporaries
 # block-scan levels up to this many masks are kept between calls; larger
 # ones are rebuilt per call, so that the cache stays small
 LEVEL_CACHE_MASKS = 1 << 14
+# in-word masks of the bits whose position has bit j clear, j = 0..5
+WORD_MASKS = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
+))
 
 
 def input_digest(n: int, bits: int) -> str:
@@ -165,7 +167,7 @@ class GlobalBlockSensitivity:
     value: int
     argmax: int
     certificate: BlockCertificate  # at argmax, through certify_blocks
-    inputs_walked: int  # inputs whose minimal blocks the walk read
+    inputs_walked: int  # inputs whose minimal blocks the transform read
 
 
 @dataclass(frozen=True)
@@ -296,7 +298,7 @@ def _checked_table(f, deadline) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     must then be invariant under relabelling the vertices: table[g(x)] ==
     table[x] at every input x for both generators g, or EvaluatorMismatch
     naming the property.  Invariance under the generators is invariance
-    under all of S_v, on which the orbit walk of block_sensitivity_global
+    under all of S_v, on which the orbit read of block_sensitivity_global
     rests."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
@@ -450,58 +452,16 @@ def _cached_level(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, rows
 
 
-def _block_walk(n: int, count: int, max_block_size: int, flips, deadline):
-    """The inclusion-minimal sensitive blocks of size <= max_block_size at
-    each of `count` inputs, as (input rows, block masks) in level order.
-
-    flips(rows, masks) says, pair by pair, whether flipping block masks[j]
-    at input rows[j] changes f.  Levels of same-size masks are scanned in
-    ascending size, at most max(1, BATCH_CHUNK // count) masks at a time; a
-    (input, mask) pair is skipped unflipped when one of the mask's
-    one-bit-smaller subsets already holds a sensitive block at that input,
-    since a sensitive proper subset would contain a found minimal block.
-    Each level and the rows of those subsets come whole from the level
-    below by _next_level's colex recurrence, cached up to LEVEL_CACHE_MASKS.
-    """
-    found_rows, found_masks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, np.uint32)]
-    level = _cached_level(n, 0)
-    held = np.zeros((count, 1), dtype=bool)  # mask is or contains a block
-    step = max(1, BATCH_CHUNK // count)
-    for size in range(1, max_block_size + 1):
-        if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
-            level = _cached_level(n, size)
-        else:
-            level = _next_level(*level, n)  # then the level below is freed
-        masks, rows = level
-        level_held = np.empty((count, len(masks)), dtype=bool)
-        for start in range(0, len(masks), step):
-            check_deadline(deadline)
-            chunk = masks[start : start + step]
-            sub = rows[start : start + step]
-            chunk_held = held[:, sub[:, 0]]
-            for j in range(1, size):
-                chunk_held |= held[:, sub[:, j]]
-            todo_rows, todo_cols = np.nonzero(~chunk_held)
-            if todo_rows.size:
-                candidates = chunk[todo_cols]
-                hit = flips(todo_rows, candidates)
-                chunk_held[todo_rows[hit], todo_cols[hit]] = True
-                found_rows.append(todo_rows[hit])
-                found_masks.append(candidates[hit])
-            level_held[:, start : start + len(chunk)] = chunk_held
-        if level_held.all():
-            break  # every larger mask contains a found block
-        held = level_held
-    return np.concatenate(found_rows), np.concatenate(found_masks)
-
-
 def minimal_sensitive_blocks(
     f, x, max_block_size: int, deadline=None
 ) -> list[tuple[int, ...]]:
     """All inclusion-minimal sensitive blocks of size <= max_block_size at x,
-    as sorted position tuples in lexicographic order; the one-input case of
-    _block_walk, evaluated by evaluate_batch.  The cap is at least 1, except
-    at n = 0, where it is 0 and there is no block."""
+    as sorted position tuples in lexicographic order; the cap is at least 1,
+    except at n = 0, where it is 0 and there is no block.
+
+    Levels come in ascending size from _next_level, BATCH_CHUNK masks at a
+    time; a mask is skipped unflipped when one of its one-bit-smaller
+    subsets is or contains a found block, since then it is not minimal."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"block scan over an n={n} input is out of scope")
@@ -511,32 +471,72 @@ def minimal_sensitive_blocks(
     bits = input_bits(f, x)
     fx = bool(f.value(bits))
     base = np.uint64(bits)
-
-    def flips(rows, masks):
-        return evaluate_batch(f, base ^ masks) != fx
-
-    _, found = _block_walk(n, 1, max_block_size, flips, deadline)
-    return sorted(tuple(ranks_of_bits(m)) for m in found.tolist())
+    found = [np.zeros(0, np.uint32)]
+    level = _cached_level(n, 0)
+    held = np.zeros(1, dtype=bool)  # mask is or contains a block
+    for size in range(1, max_block_size + 1):
+        if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
+            level = _cached_level(n, size)
+        else:
+            level = _next_level(*level, n)  # then the level below is freed
+        masks, rows = level
+        level_held = np.empty(len(masks), dtype=bool)
+        for start in range(0, len(masks), BATCH_CHUNK):
+            check_deadline(deadline)
+            chunk = slice(start, start + BATCH_CHUNK)
+            level_held[chunk] = held[rows[chunk, 0]]
+            for j in range(1, size):
+                level_held[chunk] |= held[rows[chunk, j]]
+            todo = start + np.flatnonzero(~level_held[chunk])
+            hit = todo[evaluate_batch(f, base ^ masks[todo]) != fx]
+            level_held[hit] = True
+            found.append(masks[hit])
+        if level_held.all():
+            break  # every larger mask contains a found block
+        held = level_held
+    return sorted(tuple(ranks_of_bits(m)) for m in np.concatenate(found).tolist())
 
 
 def _minimal_blocks_everywhere(table: np.ndarray, n: int, inputs, deadline):
     """(x, the minimal sensitive blocks at x as masks in level order) for
     every input x of the uint32 array `inputs`, in its order, read off the
-    truth table: block B is sensitive at x iff table[x ^ B] != table[x].
-    Inputs go through _block_walk in chunks small enough that a chunk times
-    the largest level stays within BATCH_CHUNK pairs."""
-    chunk = max(1, BATCH_CHUNK // math.comb(n, n // 2))
-    for start in range(0, len(inputs), chunk):
-        xs = inputs[start : start + chunk]
-        fx = table[xs]
+    truth table packed 64 inputs to a uint64 word (one word, zero past bit
+    2^n, when n < 6), BATCH_CHUNK // words inputs per 2-D slab.
 
-        def flips(rows, masks):
-            return table[xs[rows] ^ masks] != fx[rows]
-
-        rows, masks = _block_walk(n, len(xs), n, flips, deadline)
-        order = np.argsort(rows, kind="stable")  # keeps level order per input
-        bounds = np.searchsorted(rows[order], np.arange(len(xs) + 1)).tolist()
-        masks = masks[order].tolist()
+    Word w of D = {B : table[x ^ B] != table[x]} is table word w ^ (x >> 6),
+    its bit b swapped with bit b ^ (x & 63), XORed with table[x].  n passes
+    over D, one per bit j, OR each set without j into itself plus j: the
+    OR-zeta transform (Yates 1937), after which up[B] says a subset of B is
+    in D.  The same passes carry below[B], a proper subset of B in D, so
+    the minimal blocks are D & ~below, sorted by (size, mask): level order."""
+    padded = np.pad(table, (0, max(0, 64 - len(table))))  # to one word
+    words = np.packbits(padded, bitorder="little").view("<u8")
+    valid = np.uint64((1 << min(len(table), 64)) - 1)  # bits that are inputs
+    step = max(1, BATCH_CHUNK // len(words))
+    for start in range(0, len(inputs), step):
+        check_deadline(deadline)
+        xs = inputs[start : start + step]
+        d = words[np.arange(len(words)) ^ (xs[:, None] >> 6)]
+        for j, m in enumerate(WORD_MASKS[:n]):
+            t = ((d >> np.uint64(1 << j)) ^ d) & np.where(xs >> j & 1, m, 0)[:, None]
+            d ^= t | (t << np.uint64(1 << j))
+        d ^= np.where(table[xs], valid, 0)[:, None]
+        up, below = d.copy(), np.zeros_like(d)
+        for j, m in enumerate(WORD_MASKS[:n]):
+            moved = (up & m) << np.uint64(1 << j)
+            below |= moved
+            up |= moved
+        for j in range(6, n):
+            halves = up.reshape(len(xs), -1, 2, 1 << (j - 6))
+            below.reshape(halves.shape)[:, :, 1] |= halves[:, :, 0]
+            halves[:, :, 1] |= halves[:, :, 0]
+        minimal = d & ~below
+        rows, cols = np.nonzero(minimal)  # unpack only the words with a block
+        unpacked = np.unpackbits(minimal[rows, cols].view(np.uint8), bitorder="little")
+        hit, bit = np.nonzero(unpacked.reshape(-1, 64))
+        rows, masks = rows[hit], cols[hit] * 64 + bit
+        masks = masks[np.lexsort((masks, np.bitwise_count(masks), rows))].tolist()
+        bounds = [0, *np.cumsum(np.bincount(rows, minlength=len(xs))).tolist()]
         for j, x in enumerate(xs.tolist()):
             yield x, masks[bounds[j] : bounds[j + 1]]
 
@@ -544,23 +544,23 @@ def _minimal_blocks_everywhere(table: np.ndarray, n: int, inputs, deadline):
 def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     """Exact max of bs(f, x) over all inputs; ties go to the smallest bitmask.
 
-    The minimal blocks come from one walk over the truth table checked by
+    The minimal blocks are read off the truth table checked by
     _checked_table, in ascending input order; an input is packed only when
     it has more minimal blocks than the best packing so far, since bs(f, x)
     is at most their number.  bs is recomputed by `block_sensitivity_exact`
     at the argmax, whose certificate `certify_blocks` re-verifies without
     the table; EvaluatorMismatch on any difference.
 
-    A graph property's walk visits only the least input of each orbit of
-    S_v, the vertex relabellings; any other function's visits every input.
-    The walk gives the same value and argmax as the walk over every input,
-    ties included.  _checked_table has shown the table invariant under S_v,
+    A graph property's read covers only the least input of each orbit of
+    S_v, the vertex relabellings; any other function's covers every input.
+    It gives the same value and argmax as the read of every input, ties
+    included.  _checked_table has shown the table invariant under S_v,
     and a relabelling maps the disjoint sensitive blocks at x one to one
     onto those at its image, so bs is constant on each orbit.  Let x* be
     the smallest input of largest bs.  An orbit-mate of x* has the same bs,
     so none lies below x*: x* is the least input of its orbit and is
-    walked.  Every walked input below x* has a smaller bs, so the ascending
-    walk first reaches the largest bs at x*.
+    read.  Every read input below x* has a smaller bs, so the ascending
+    read first reaches the largest bs at x*.
     """
     table, images = _checked_table(f, deadline)
     inputs = _orbit_minima(images, len(table), deadline)

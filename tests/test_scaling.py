@@ -58,6 +58,22 @@ class TestCsv:
         with pytest.raises(BadParameter):
             rows_from_csv("a,b\n1,2\n")
 
+    def test_empty_text_is_bad_parameter(self):
+        with pytest.raises(BadParameter, match="line 1: unexpected CSV header"):
+            rows_from_csv("")
+
+    @pytest.mark.parametrize("row", ["5,10", "5,10,,,,,,,7"])
+    def test_row_of_the_wrong_length_is_bad_parameter(self, row):
+        """A short row is not padded with empty cells, nor a long one cut."""
+        text = rows_to_csv([]) + "4,6,,,,3,,\n" + row + "\n"
+        with pytest.raises(BadParameter, match="line 3: .* cells, expected 8"):
+            rows_from_csv(text)
+
+    def test_non_integer_cell_is_bad_parameter(self):
+        text = rows_to_csv([]) + "5,ten,,,,,,\n"
+        with pytest.raises(BadParameter, match="line 2: .*'ten'"):
+            rows_from_csv(text)
+
 
 class TestRunScan:
     def test_triangle_columns(self):

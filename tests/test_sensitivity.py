@@ -611,12 +611,44 @@ _GLOBAL_BS_CASES = [
 _GRAPH_BS_CASES = [f for f in _GLOBAL_BS_CASES if isinstance(f, GraphPropertyBase)]
 
 
+class TestPackedTransform:
+    """_minimal_blocks_everywhere's bit-packed subset-zeta transform against
+    the bool-array oracle and the one-input level walk."""
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_table_oracle_at_every_input(self, n):
+        """Seeded tables at n < 6 (part of one word, with padding), n = 6
+        (one word) and n >= 7 (several words); the masks come in level
+        order, by size and then value."""
+        rng = SplitMix64(61 + n)
+        table = np.array([rng.bits(1) for _ in range(1 << n)], dtype=np.uint8)
+        every = np.arange(1 << n, dtype=np.uint32)
+        seen = 0
+        for x, masks in _minimal_blocks_everywhere(table, n, every, None):
+            oracle = minimal_blocks_from_table(table, x, n)
+            assert masks == sorted(oracle, key=lambda b: (b.bit_count(), b)), x
+            assert x == seen
+            seen += 1
+        assert seen == 1 << n
+
+    def test_matches_full_cap_walk_at_v7_orbit_representatives(self):
+        """n = 21: 32,768 words per input."""
+        f = IsolatedTriangleProperty(7)
+        reps = _orbit_minima(_relabelling_images(7, 2), 1 << f.n, None)
+        rng = SplitMix64(67)
+        xs = np.array([reps[rng.bits(20) % len(reps)] for _ in range(3)])
+        for x, masks in _minimal_blocks_everywhere(truth_table(f), f.n, xs, None):
+            expected = minimal_sensitive_blocks(f, x, f.n)
+            assert masks == sorted(masks, key=lambda b: (b.bit_count(), b))
+            assert sorted(tuple(ranks_of_bits(m)) for m in masks) == expected, x
+
+
 class TestBlockSensitivityGlobal:
     @pytest.mark.parametrize(
         "f", _GLOBAL_BS_CASES, ids=[f"{f.name}-n{f.n}" for f in _GLOBAL_BS_CASES]
     )
     def test_walk_matches_the_one_input_scan_everywhere(self, f):
-        """At every input, the all-inputs walk's minimal blocks and their
+        """At every input, the packed transform's minimal blocks and their
         packing equal minimal_sensitive_blocks and block_sensitivity_exact;
         the global max is theirs, at the smallest input that attains it."""
         seen = []
@@ -637,8 +669,8 @@ class TestBlockSensitivityGlobal:
         "f", _GRAPH_BS_CASES, ids=[f"{f.name}-n{f.n}" for f in _GRAPH_BS_CASES]
     )
     def test_orbit_walk_equals_the_all_input_walk(self, f, monkeypatch):
-        """A graph property's walk over the least input of each S_v orbit
-        gives the value, argmax and certificate of the walk over every
+        """A graph property's read of the least input of each S_v orbit
+        gives the value, argmax and certificate of the read of every
         input, which the engine takes when no relabelling is known."""
         g = block_sensitivity_global(f)
         monkeypatch.setattr(sensitivity, "_relabelling_images", lambda v, k: ())
