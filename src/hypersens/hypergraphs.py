@@ -18,8 +18,23 @@ bitset, so ranking refuses it with TooLarge.  Small (v, k) also keep a dict
 of every rank decoded so far, which a miss fills by k bisections over the
 same columns, so that the many small decodes of an exhaustive sweep cost one
 lookup per edge and no decode pays for a rank it does not hold.
+
+A wide bitset is paid for in its width, not its edges: the 0-side family
+witness at v = 300, k = 3 is a 4.4 M-bit int with a few dozen set bits, and
+a pass over its bytes costs far more than the work on its edges.  So the
+codec holds its last few wide ints with their ranks: each one ranks_of_bits
+decodes and each one bits_of_ranks builds, in one array pass from a list or
+an int64 array of ranks.  They are keyed by the id of the int; an entry
+holds its int, which keeps the id from being reused, and ints are
+immutable.  The key is the identity, not the value, because hashing such
+an int costs more than half a decode.  A held input is then never decoded
+again, and hex_digits, which input_digest hashes, writes a sparse one's
+digits from its ranks into a buffer of zeros.  Hypergraph.relabel maps
+rank arrays to rank arrays (unrank, gather through sigma, rank) without
+building a tuple per edge, so a relabelled witness is held from birth.
 """
 
+import binascii
 import bisect
 import math
 from dataclasses import dataclass
@@ -242,9 +257,22 @@ MAX_BITSET_BITS = 1 << 32
 _BIT_LOOP_WORK = 1 << 18
 
 
+# the codec keeps at most this many wide bitsets with their ranks, holding
+# at most this many bytes of ints and rank arrays together; a wider one is
+# not kept, so that no bitset near MAX_BITSET_BITS is pinned.  The family
+# witnesses at v = 300 hold about 0.6 MB each
+_HELD_COUNT = 4
+_HELD_BYTES = 1 << 22
+# id(bits) -> (bits, its ascending int64 ranks), least recently used first
+_held: dict[int, tuple[int, np.ndarray]] = {}
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+
+
 def ranks_of_bits(bits: int) -> list[int]:
     """The ascending positions of the set bits, the inverse of bits_of_ranks,
-    in time linear in the width plus the set bits (see _BIT_LOOP_WORK)."""
+    in time linear in the width plus the set bits (see _BIT_LOOP_WORK).  A
+    wide int seen before, the same object, is read from the held ranks (see
+    the module docstring); every call returns a fresh list."""
     if bits < 0:
         raise BadParameter("a bitset must not be negative")
     width = bits.bit_length()
@@ -257,7 +285,43 @@ def ranks_of_bits(bits: int) -> list[int]:
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
-    # the nonzero 64-bit words first, then the nonzero bytes of those alone
+    ranks = _held_ranks(bits)
+    if ranks is None:
+        ranks = _wide_ranks(bits, width)
+        _hold(bits, ranks)
+    return ranks.tolist()
+
+
+def _held_ranks(bits: int) -> np.ndarray | None:
+    """The held ranks of this very int, made the most recently used, or
+    None.  An entry holds its int, so no other live object has its id."""
+    held = _held.pop(id(bits), None)
+    if held is None:
+        return None
+    _held[id(bits)] = held
+    return held[1]
+
+
+def _hold(bits: int, ranks: np.ndarray) -> None:
+    """Keep a wide int with its ascending ranks, dropping the least recently
+    used ones past the held count or bytes."""
+    if _held_bytes(bits, ranks) > _HELD_BYTES:
+        return
+    _held[id(bits)] = (bits, ranks)
+    while len(_held) > _HELD_COUNT or (
+        sum(_held_bytes(*entry) for entry in _held.values()) > _HELD_BYTES
+    ):
+        del _held[next(iter(_held))]
+
+
+def _held_bytes(bits: int, ranks: np.ndarray) -> int:
+    return (bits.bit_length() >> 3) + ranks.nbytes
+
+
+def _wide_ranks(bits: int, width: int) -> np.ndarray:
+    """ranks_of_bits of a wide int as an int64 array, by one pass over its
+    bytes: the nonzero 64-bit words first, then the nonzero bytes of those
+    alone."""
     data = bits.to_bytes(((width + 63) >> 6) << 3, "little")
     words = np.flatnonzero(np.frombuffer(data, "<u8"))
     octets = np.frombuffer(data, np.uint8).reshape(-1, 8)[words].ravel()
@@ -266,34 +330,63 @@ def ranks_of_bits(bits: int) -> list[int]:
     byte, bit = np.nonzero(
         np.unpackbits(octets[nonzero, None], axis=1, bitorder="little")
     )
-    return (offsets[byte] * 8 + bit).tolist()
+    return offsets[byte] * 8 + bit
 
 
 def bits_of_ranks(ranks) -> int:
-    """The bitset whose set bits are exactly `ranks` (repeats are harmless),
-    in time linear in the ranks plus the width (see _BIT_LOOP_WORK); one
-    rank is one shift at any width.  TooLarge, before any shift, for a rank
-    past MAX_BITSET_BITS."""
-    ranks = list(ranks)
-    if not ranks:
+    """The bitset whose set bits are exactly `ranks`, an iterable of ints or
+    an int array (repeats are harmless), in time linear in the ranks plus
+    the width (see _BIT_LOOP_WORK); one rank is one shift at any width.
+    Numpy ranks are converted once: to Python ints for the shifts, to an
+    int64 array for the one array pass over a byte buffer, whose int is
+    then held with its ranks, so that it is never decoded.  TooLarge,
+    before any shift, for a rank past MAX_BITSET_BITS."""
+    array = isinstance(ranks, np.ndarray)
+    if not array:
+        ranks = list(ranks)
+    if not len(ranks):
         return 0
-    if min(ranks) < 0:
-        raise BadParameter(f"negative edge id {min(ranks)}")
-    width = max(ranks) + 1
+    low, top = (ranks.min(), ranks.max()) if array else (min(ranks), max(ranks))
+    if low < 0:
+        raise BadParameter(f"negative edge id {low}")
+    width = int(top) + 1
     if width > MAX_BITSET_BITS:
         raise TooLarge(
-            f"edge id {width - 1} needs a bitset of {width} bits, past the"
+            f"edge id {top} needs a bitset of {width} bits, past the"
             f" bitset budget of 2^{MAX_BITSET_BITS.bit_length() - 1} bits"
         )
     if len(ranks) == 1 or len(ranks) * width <= _BIT_LOOP_WORK:
         bits = 0
-        for r in ranks:
+        for r in ranks.tolist() if array else map(int, ranks):
             bits |= 1 << r
         return bits
-    buf = bytearray((width + 7) >> 3)
-    for r in ranks:
-        buf[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(buf, "little")
+    ranks = np.sort(np.asarray(ranks, dtype=np.int64))
+    ranks = ranks[np.diff(ranks, prepend=-1) != 0]  # np.unique imports numpy.ma
+    buf = np.zeros((width + 7) >> 3, dtype=np.uint8)
+    np.bitwise_or.at(buf, ranks >> 3, np.left_shift(1, ranks & 7).astype(np.uint8))
+    bits = int.from_bytes(buf, "little")
+    _hold(bits, ranks)
+    return bits
+
+
+def hex_digits(bits: int):
+    """f"{bits:x}".encode() as a bytes-like object.  A held int with fewer
+    than one set bit per 128 of its width gets it from its ranks alone, in
+    a buffer of "0" digits; any other one from one big-endian to_bytes,
+    hexlified, less its leading zero nibble."""
+    ranks = _held_ranks(bits)
+    if ranks is not None and len(ranks) << 7 < bits.bit_length():
+        count = (bits.bit_length() + 3) >> 2
+        out = np.full(count, ord("0"), np.uint8)
+        # the digit of each rank, counted from the top; ascending ranks give
+        # descending digits, so the ranks of one digit are adjacent
+        digit = count - 1 - (ranks >> 2)
+        first = np.flatnonzero(np.diff(digit, prepend=-1))
+        out[digit[first]] = _HEX_DIGITS[np.bitwise_or.reduceat(1 << (ranks & 3), first)]
+        return out
+    hexed = binascii.hexlify(bits.to_bytes(max(1, (bits.bit_length() + 7) >> 3), "big"))
+    # to_bytes gives an even count of digits, at least two ("00" for 0)
+    return memoryview(hexed)[1 if hexed[0] == ord("0") else 0 :]
 
 
 @dataclass(frozen=True)
@@ -338,7 +431,7 @@ class Hypergraph:
                 raise BadParameter(f"edge {e} has a vertex >= {v}")
             rows.append(_checked_subset(e, k))
         rows = np.array(rows, dtype=np.int64).reshape(len(rows), k)
-        return cls(v, k, bits_of_ranks(colex_ranks(v, k, rows).tolist()))
+        return cls(v, k, bits_of_ranks(colex_ranks(v, k, rows)))
 
     def edges(self):
         """Present edges as sorted vertex tuples, in colex-rank order."""
@@ -348,11 +441,11 @@ class Hypergraph:
         """Apply the vertex permutation sigma (old -> new) to every edge."""
         if sorted(sigma) != list(range(self.v)):
             raise BadParameter("sigma is not a permutation of the vertices")
-        edges = np.array(edges_of_bits(self.v, self.k, self.bits), dtype=np.int64)
-        rows = np.asarray(sigma, dtype=np.int64)[edges].reshape(len(edges), self.k)
-        return Hypergraph(
-            self.v, self.k, bits_of_ranks(colex_ranks(self.v, self.k, rows).tolist())
-        )
+        v, k = self.v, self.k
+        ranks = ranks_of_bits(self.bits)
+        _check_ranks(v, k, ranks)
+        rows = np.asarray(sigma, dtype=np.int64)[unrank_rows(v, k, ranks)]
+        return Hypergraph(v, k, bits_of_ranks(colex_ranks(v, k, rows)))
 
     def to_json(self) -> dict:
         return {

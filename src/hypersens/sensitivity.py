@@ -82,7 +82,7 @@ from .errors import (
     ValueIsOne,
     check_deadline,
 )
-from .hypergraphs import bits_of_ranks, edge_permutation, ranks_of_bits
+from .hypergraphs import bits_of_ranks, edge_permutation, hex_digits, ranks_of_bits
 from .properties import GraphPropertyBase, input_bits
 from .rng import SplitMix64
 
@@ -105,7 +105,12 @@ WORD_MASKS = tuple(np.uint64(m) for m in (
 
 
 def input_digest(n: int, bits: int) -> str:
-    return hashlib.sha256(f"{n}:{bits:x}".encode()).hexdigest()
+    """The hex sha256 of f"{n}:{bits:x}", the input's width and its bitset
+    in lowercase hex without leading zeros, hashed from the codec's
+    hex_digits, so that no formatted string of the whole bitset is built."""
+    digest = hashlib.sha256(f"{n}:".encode())
+    digest.update(hex_digits(bits))
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,7 @@ def build_s0_witness(vertex_sets, v: int, k: int, i: int, h: int):
     # order but the last, the removed one
     inside = vertices.reshape(n, h)[:, lex_subsets(h, k)[:-1]]
     ranks = colex_ranks(v, k, inside.reshape(-1, k))
-    return Hypergraph(v, k, bits_of_ranks(ranks.tolist())), n
+    return Hypergraph(v, k, bits_of_ranks(ranks)), n
 
 
 def build_s1_witness(v: int, k: int, i: int, h: int) -> Hypergraph:

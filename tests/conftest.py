@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles, stub functions, and the
 acceptance summary printed at the end of a run."""
 
+import hashlib
 import math
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -442,6 +443,12 @@ def or_ranks_oracle(ranks):
     for r in ranks:
         bits |= 1 << r
     return bits
+
+
+def digest_oracle(n, bits):
+    """Reference for `sensitivity.input_digest`: the sha256 of the formatted
+    string f"{n}:{bits:x}"."""
+    return hashlib.sha256(f"{n}:{bits:x}".encode()).hexdigest()
 
 
 # --- GF(q) polynomial oracle -------------------------------------------------

@@ -24,11 +24,13 @@ from hypersens.hypergraphs import (
     degrees,
     edge_permutation,
     edges_of_bits,
+    hex_digits,
     rank_subset,
     ranks_of_bits,
     unrank_subset,
 )
 from hypersens.rng import SplitMix64
+from hypersens.witnesses import build_family_witness
 
 
 def test_rank_examples():
@@ -96,6 +98,31 @@ _codec_ranks = st.sampled_from(_CODEC_WIDTHS).flatmap(
 
 
 @given(_codec_ranks)
+def test_bits_of_ranks_takes_lists_arrays_and_numpy_scalars(ranks):
+    """A list, an int64 array and a list of np.int64 give the one Python int
+    of the oracle, on both sides of the one-bit loop; repeats are harmless."""
+    ranks = ranks + ranks[:3]
+    expected = or_ranks_oracle(ranks)
+    for given_ranks in (ranks, np.array(ranks, dtype=np.int64), list(map(np.int64, ranks))):
+        bits = bits_of_ranks(given_ranks)
+        assert type(bits) is int and bits == expected
+
+
+def test_numpy_ranks_past_bit_62_are_not_lost():
+    # under numpy 2, 1 << np.int64(70) is 0 and 1 << np.int64(3) an np.int64
+    assert bits_of_ranks(np.array([70])) == 1 << 70
+    assert bits_of_ranks([np.int64(70), np.int64(3)]) == (1 << 70) | 8
+    G = Hypergraph(12, 2, bits_of_ranks(np.array([3, 60])))
+    assert type(G.bits) is int and G.bits == (1 << 60) | 8
+    spread = np.arange(0, 1 << 20, 997)  # past the one-bit loop
+    assert bits_of_ranks(list(spread)) == or_ranks_oracle(spread.tolist())
+    with pytest.raises(BadParameter, match="negative edge id -1"):
+        bits_of_ranks(np.array([3, -1]))
+    with pytest.raises(TooLarge, match="bitset budget"):
+        bits_of_ranks(np.array([3, 1 << 32]))
+
+
+@given(_codec_ranks)
 def test_ranks_of_bits_matches_oracle_and_round_trips(ranks):
     bits = or_ranks_oracle(ranks)
     assert ranks_of_bits(bits) == ascending_bits_oracle(bits)
@@ -111,6 +138,91 @@ def test_ranks_of_bits_cases():
         assert ranks_of_bits((1 << width) - 1) == list(range(width))
     with pytest.raises(BadParameter, match="a bitset must not be negative"):
         ranks_of_bits(-1)
+
+
+def _wide(seed, count=5):
+    """A bitset of `count` random ranks below 2^21 plus rank 2^21, so that
+    ranks_of_bits reads it on its byte path, and those ranks ascending."""
+    rng = SplitMix64(seed)
+    ranks = sorted({rng.below(1 << 21) for _ in range(count)} | {1 << 21})
+    return or_ranks_oracle(ranks), ranks
+
+
+def test_wide_decodes_are_fresh_lists_of_a_held_decode():
+    bits, ranks = _wide(1)
+    first = ranks_of_bits(bits)
+    assert hypergraphs._held[id(bits)][0] is bits
+    first.append(-1)
+    second = ranks_of_bits(bits)
+    assert second == ranks and second is not first
+    # an equal int built apart is another object, decoded on its own
+    twin = or_ranks_oracle(reversed(ranks))
+    assert twin == bits and twin is not bits
+    assert ranks_of_bits(twin) == ranks
+
+
+def test_wide_decodes_past_the_held_count_still_decode():
+    inputs = [_wide(seed) for seed in range(hypergraphs._HELD_COUNT + 3)]
+    for _ in range(2):
+        for bits, ranks in inputs:
+            assert ranks_of_bits(bits) == ranks
+            assert len(hypergraphs._held) <= hypergraphs._HELD_COUNT
+    held = [id(bits) for bits, _ in inputs[-hypergraphs._HELD_COUNT :]]
+    assert list(hypergraphs._held)[-len(held) :] == held
+
+
+def test_a_held_decode_asked_again_is_kept_longest():
+    inputs = [_wide(seed) for seed in range(10, 11 + hypergraphs._HELD_COUNT)]
+    for bits, _ in inputs[:-1]:
+        ranks_of_bits(bits)
+    ranks_of_bits(inputs[0][0])  # now the most recently used
+    ranks_of_bits(inputs[-1][0])
+    assert id(inputs[0][0]) in hypergraphs._held
+    assert id(inputs[1][0]) not in hypergraphs._held
+
+
+def test_a_bitset_past_the_held_bytes_is_decoded_and_not_kept():
+    kept, _ = _wide(2)
+    ranks_of_bits(kept)
+    top = 8 * hypergraphs._HELD_BYTES
+    ranks = [5, top // 2, top]
+    bits = or_ranks_oracle(ranks)
+    assert ranks_of_bits(bits) == ranks
+    # neither kept nor pushing out what is held
+    assert id(bits) not in hypergraphs._held and id(kept) in hypergraphs._held
+    assert ranks_of_bits(bits) == ranks
+
+
+def test_a_wide_encode_is_held_and_never_decoded():
+    rng = SplitMix64(5)
+    ranks = [rng.below(1 << 22) for _ in range(40)]
+    ranks += ranks[:5]  # repeats, out of order
+    bits = bits_of_ranks(np.array(ranks))
+    assert bits == or_ranks_oracle(ranks)
+    held_bits, held_ranks = hypergraphs._held[id(bits)]
+    assert held_bits is bits and held_ranks.tolist() == sorted(set(ranks))
+    assert ranks_of_bits(bits) == sorted(set(ranks))
+
+
+@given(_codec_ranks, st.booleans())
+def test_hex_digits_match_the_format(ranks, hold):
+    """From held ranks (sparse and wide), or from the bytes (narrow, dense
+    or not held); repeats, ranks sharing a digit and a partial top digit."""
+    ranks = ranks + [r ^ 1 for r in ranks[:4]] + ranks[:2]
+    expected = f"{or_ranks_oracle(ranks):x}".encode()
+    bits = bits_of_ranks(ranks) if hold else or_ranks_oracle(ranks)
+    assert bytes(hex_digits(bits)) == expected
+
+
+def test_hex_digits_cases():
+    for bits in (0, 1, 15, 16, 255, 256, (1 << 68) - 1):
+        assert bytes(hex_digits(bits)) == f"{bits:x}".encode()
+    # sparse and held: every digit value, in the top digit too
+    for top in range(1 << 21, (1 << 21) + 4):
+        ranks = [top] + [4 * d + b for d in range(16) for b in range(4) if d >> b & 1]
+        bits = bits_of_ranks(ranks)
+        assert id(bits) in hypergraphs._held
+        assert bytes(hex_digits(bits)) == f"{bits:x}".encode()
 
 
 # every C(v, k) here is past the decode dict's 2^18 slots
@@ -229,14 +341,25 @@ def test_relabel_round_trip_and_count():
         Hypergraph.empty(4, 2).relabel([0, 0, 1, 2])
 
 
-@pytest.mark.parametrize("v,k", [(1, 1), (6, 2), (7, 3), (9, 4), (120, 3), (60, 5)])
+@pytest.mark.parametrize(
+    "v,k", [(1, 1), (6, 2), (7, 3), (9, 4), (120, 3), (60, 5), (300, 3)]
+)
 def test_relabel_matches_the_rank_subset_oracle(v, k):
-    # C(120, 3) and C(60, 5) are past the decode dict
+    # C(120, 3), C(60, 5) and C(300, 3) are past the decode dict; ranks up
+    # to 2^20 put most bitsets of (300, 3) on the byte path of the codec
     rng = SplitMix64(v * 7 + k)
     for _ in range(10):
         ranks = [rng.below(min(math.comb(v, k), 1 << 20)) for _ in range(rng.below(40))]
         G = Hypergraph(v, k, bits_of_ranks(ranks))
         sigma = rng.permutation(v)
+        assert G.relabel(sigma) == relabel_oracle(G, sigma)
+
+
+def test_relabel_of_the_v300_family_witness_matches_the_oracle():
+    G, _, _ = build_family_witness(300, 3, 6)
+    rng = SplitMix64(300)
+    for _ in range(3):
+        sigma = rng.permutation(300)
         assert G.relabel(sigma) == relabel_oracle(G, sigma)
 
 

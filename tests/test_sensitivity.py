@@ -17,6 +17,7 @@ from conftest import (
     bs_brute,
     certify_oracle,
     defects_oracle,
+    digest_oracle,
     flip_all_oracle,
     minimal_blocks_from_table,
     flip_edge,
@@ -73,12 +74,32 @@ from hypersens.sensitivity import (
     truth_table,
 )
 from hypersens.witnesses import (
+    build_family_witness,
     build_isolated_vertex_witness,
     build_s0_witness,
     build_s1_witness,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_input_digest_matches_the_format_oracle():
+    """sha256 of f"{n}:{bits:x}" at odd and even counts of hex digits, at
+    random widths, and at a relabelled v = 300 family witness, the wide
+    input that certify_blocks and sensitivity_at report on."""
+    rng = SplitMix64(24)
+    cases = [0, 1, 15, 16, 255, 256, 1 << 64, (1 << 68) - 1]
+    cases += [rng.bits(1 + rng.below(1 << 14)) for _ in range(300)]
+    # sparse wide bitsets, held with their ranks by the codec
+    cases += [
+        bits_of_ranks([rng.below(1 << 22) for _ in range(1 + rng.below(60))] + [1 << 21])
+        for _ in range(20)
+    ]
+    for n, bits in enumerate(cases):
+        assert sensitivity.input_digest(n, bits) == digest_oracle(n, bits)
+    G, _, prop = build_family_witness(300, 3, 6)
+    H = G.relabel(rng.permutation(300))
+    assert certify_blocks(prop, H, []).digest == digest_oracle(prop.n, H.bits)
 
 
 class TestSensitivityAt:
@@ -765,6 +786,14 @@ class TestCertifyBlocks:
         with pytest.raises(NonSensitiveBlock) as exc:
             certify_blocks(f, 0, bad)
         assert exc.value.index == 1
+
+    def test_int64_array_blocks_certify_as_lists_do(self):
+        # the ten inside edges of {0..4} make it an isolated clique; no local
+        # rule at h = 5 != k+1, so each block is shifted into the input
+        f = IsolatedCliqueProperty(9, 3, 2, 5)
+        for block in (list(range(10)), np.arange(10), list(np.arange(10))):
+            cert = certify_blocks(f, 0, [block])
+            assert cert.count == 1 and cert.blocks == (tuple(range(10)),)
 
     def test_overlap_rejected(self):
         with pytest.raises(BadParameter, match="block #1 overlaps an earlier block"):
