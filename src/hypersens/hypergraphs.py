@@ -107,7 +107,8 @@ def _colex_columns(v: int, k: int) -> np.ndarray:
 
 # lex_subsets keeps its results up to this many rows, which the term builds
 # and packings ask for again and again; a larger one is built for its one
-# caller and freed with it (clique_packing's tails reach 10^8 bytes)
+# caller and freed with it (edge_permutation's rows and the term builds'
+# outside subsets reach C(v, k) rows)
 LEX_CACHE_ROWS = 1 << 12
 
 

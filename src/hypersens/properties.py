@@ -35,10 +35,14 @@ and the graph properties (GraphPropertyBase) alone also expose
                  -- popcount of every witness term's care, by closed form
     census(bits, deadline)
                  -- the near terms at bits, those within one flip of being
-                    matched, from which sensitivity_at reads s(f, x)
+                    matched, from which sensitivity_at reads s(f, x): the
+                    h-sets of the matched terms, and the h-sets with one
+                    defect with that defect
     flipped_values(bits, fx, blocks)
                  -- f(bits ^ B) for each block B, from the h-sets that meet
-                    B, which certify_blocks reads
+                    B; flipped_ranks(bits, fx, rank, sizes) the same for
+                    blocks given as one flat rank array, which
+                    certify_blocks reads
     check_patterns()
                  -- EvaluatorMismatch unless patterns() has the shape of the
                     isolation terms
@@ -392,10 +396,12 @@ class GraphPropertyBase(Property):
             yield S, self._defects(index, S, slack)
 
     def census(self, bits: int, deadline=None):
-        """The near terms at bits, for the sensitivity engine: the terms of
-        the h-sets without a defect, and (S, e, colex rank of e) for each
-        h-set S whose one defect is the edge tuple e, both in lexicographic
-        order of S.  CellBudgetExceeded past the deadline."""
+        """The near terms at bits, for the sensitivity engine: the h-sets
+        without a defect, whose terms x matches, and (S, e, colex rank of e)
+        for each h-set S whose one defect is the edge tuple e, both in
+        lexicographic order of S.  No term is built here: the caller builds
+        those it reads (_isolation_terms).  CellBudgetExceeded past the
+        deadline."""
         matched, single = [], []
         for S, defects in self._candidates(bits, 1, deadline):
             if not defects:
@@ -404,9 +410,7 @@ class GraphPropertyBase(Property):
                 single.append((S, defects[0]))
         rows = np.array([e for _, e in single], dtype=np.int64)
         ranks = colex_ranks(self.v, self.k, rows.reshape(len(single), self.k))
-        return self._isolation_terms(matched), [
-            (S, e, r) for (S, e), r in zip(single, ranks.tolist())
-        ]
+        return matched, [(S, e, r) for (S, e), r in zip(single, ranks.tolist())]
 
     def check_patterns(self) -> None:
         """EvaluatorMismatch unless patterns() has the shape of the isolation
@@ -430,12 +434,23 @@ class GraphPropertyBase(Property):
             )
 
     def flipped_values(self, bits: int, fx: int, blocks):
-        """f(bits ^ B) for each block B, a list of edge ranks below n, in
-        order; fx must be f(bits).  At i = 1 the values of all blocks come
-        from one array pass (_isolated_flips).  At i >= 2 and h = k+1 they
-        come lazily from one edge index of x = bits, patched by each block's
-        edges, so a block costs time in the edges at V(B), the vertices of
-        B's edges, not in n.  Every other (i, h) evaluates f at each x ^ B.
+        """f(bits ^ B) for each block B, a sequence of edge ranks below n,
+        in order; fx must be f(bits).  The blocks go to flipped_ranks as one
+        flat array."""
+        sizes = [len(b) for b in blocks]
+        rank = np.fromiter(chain.from_iterable(blocks), np.int64, sum(sizes))
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        return self.flipped_ranks(bits, fx, rank[np.lexsort((rank, block))], sizes)
+
+    def flipped_ranks(self, bits: int, fx: int, rank: np.ndarray, sizes):
+        """f(bits ^ B) for each block B, in order, where the int64 array
+        rank holds the blocks' edge ranks, each below n, block after block
+        and ascending inside each block, and sizes their lengths; fx must
+        be f(bits).  At i = 1 the values of all blocks come from one array
+        pass (_isolated_flips).  At i >= 2 and h = k+1 they come lazily from
+        one edge index of x = bits, patched by each block's edges, so a
+        block costs time in the edges at V(B), the vertices of B's edges,
+        not in n.  Every other (i, h) evaluates f at each x ^ B.
 
         Why the h-sets that meet V(B) decide f at y = x ^ B.  The defects of
         an h-set S are edges that meet S in at least i >= 1 vertices.  So an
@@ -457,10 +472,10 @@ class GraphPropertyBase(Property):
         """
         v, k, i, h = self.v, self.k, self.i, self.h
         if i == 1:
-            yield from self._isolated_flips(bits, fx, blocks)
+            yield from self._isolated_flips(bits, fx, rank, sizes)
             return
         if h != k + 1:
-            for b in blocks:
+            for b in split_blocks(rank.tolist(), sizes):
                 yield self.value(bits ^ bits_of_ranks(b))
             return
         edges = edges_of_bits(v, k, bits)
@@ -473,11 +488,8 @@ class GraphPropertyBase(Property):
         for S in matched:
             for u in S:
                 owners.setdefault(u, []).append(S)
-        decoded = _unrank(v, k, [r for b in blocks for r in b])
-        start = 0
-        for b in blocks:
-            flip = set(decoded[start : start + len(b)])
-            start += len(b)
+        for flip in split_blocks(_unrank(v, k, rank), sizes):
+            flip = set(flip)
             flip_at = _by_subset(flip, 1)
             if matched:
                 met = {S for (u,) in flip_at for S in owners.get(u, ())}
@@ -497,14 +509,14 @@ class GraphPropertyBase(Property):
                 f" {count} h-sets without a defect"
             )
 
-    def _isolated_flips(self, bits: int, fx: int, blocks) -> list[int]:
-        """flipped_values at i = 1, for every block in one array pass.
+    def _isolated_flips(self, bits: int, fx: int, rank, sizes) -> list[int]:
+        """flipped_ranks at i = 1, for every block in one array pass.
 
         The test is the rule of the class docstring: with d = C(h-1, k-1),
         an h-set S has no defect at y iff every w in S has deg_y(w) = d and
         N_y[w] = S.  So the candidates are N_y[u], the union of u's edges at
         y, for each vertex u of V(B) with deg_y(u) = d (the only h-set
-        through u that can lack a defect, see flipped_values), and for each
+        through u that can lack a defect, see flipped_ranks), and for each
         vertex u with deg_x(u) = d, under a pseudo-block after the last one.
         A vertex w outside V(B) keeps its edges, so deg_y(w) = d and N_y[w]
         come from its candidate at x.  A candidate S of block B passes iff
@@ -518,7 +530,7 @@ class GraphPropertyBase(Property):
         all blocks together, none of them per block."""
         v, k, h = self.v, self.k, self.h
         d = math.comb(h - 1, k - 1)
-        nb = len(blocks)
+        nb = len(sizes)
         # x: its ascending edge ranks, their vertex rows, the degrees, and
         # the ids of its edges grouped by vertex, those of u from first[u]
         xr = np.array(ranks_of_bits(bits), dtype=np.int64)
@@ -527,13 +539,9 @@ class GraphPropertyBase(Property):
         deg = np.bincount(xe.ravel(), minlength=v)
         at_x = np.argsort(xe.ravel(), kind="stable") // k
         first = np.cumsum(deg) - deg
-        # the flips, one per (block, rank), sorted by block then rank; a
-        # rank repeated inside a block is one flip
-        sizes = [len(b) for b in blocks]
-        rank = np.fromiter(chain.from_iterable(blocks), np.int64, sum(sizes))
+        # the flips, one per (block, rank), which come sorted by block then
+        # rank; a rank repeated inside a block is one flip
         block = np.repeat(np.arange(nb), sizes)
-        order = np.lexsort((rank, block))
-        rank, block = rank[order], block[order]
         fresh = np.ones(len(rank), dtype=bool)
         fresh[1:] = (rank[1:] != rank[:-1]) | (block[1:] != block[:-1])
         rank, block = rank[fresh], block[fresh]
@@ -611,7 +619,7 @@ class GraphPropertyBase(Property):
     def _isolated_at(self, u: int, y, at):
         """An h-set through the vertex u without a defect, as a sorted tuple,
         or None, at i >= 2 and h = k+1, at the input y whose edges at each
-        vertex w are at.get((w,), ()), by the rule of flipped_values; y is a
+        vertex w are at.get((w,), ()), by the rule of flipped_ranks; y is a
         _Flipped view that serves as both parts of _edge_index's index."""
         index = (y, y)
         by_rest: dict = {}  # the edges through u by their k-1 vertices with u
@@ -729,6 +737,16 @@ def _search(keys: np.ndarray, queries) -> tuple[np.ndarray, np.ndarray]:
         return at, np.zeros(at.shape, dtype=bool)
     at = np.minimum(at, len(keys) - 1)
     return at, keys[at] == queries
+
+
+def split_blocks(flat: list, sizes) -> list[tuple]:
+    """The blocks that lie one after another in flat, as tuples of the
+    given sizes."""
+    out, start = [], 0
+    for size in sizes:
+        out.append(tuple(flat[start : start + size]))
+        start += size
+    return out
 
 
 def _by_subset(edges, size: int) -> dict:

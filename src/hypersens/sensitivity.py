@@ -9,7 +9,7 @@ property the terms are the h-sets and the bits where x misses a term are
 its defects, and the property itself owns the census of the h-sets with at
 most one defect (GraphPropertyBase.census), so every sensitive bit comes
 with a single evaluation of f; the census is checked against f(x) and
-against the witness term of f.  Any other function, the block functions
+against the witness of f.  Any other function, the block functions
 included, is evaluated at x and at every single-bit flip, which is the
 definition of s(f, x).
 
@@ -47,7 +47,7 @@ property.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
 which has the two paths of `sensitivity_at`.  It evaluates f once, at x.  A
 graph property then decides each f(x ^ B) locally, from the h-sets that meet
-V(B), the vertices of B's edges (GraphPropertyBase.flipped_values).  At
+V(B), the vertices of B's edges (GraphPropertyBase.flipped_ranks).  At
 i = 1 that is one array pass over the flips of all blocks at once: per-vertex
 degree changes by a segment sum, the candidate set N[u] of each vertex u of
 the right degree, and a comparison of the candidates' sets.  At i >= 2 and
@@ -71,6 +71,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -83,7 +84,7 @@ from .errors import (
     check_deadline,
 )
 from .hypergraphs import bits_of_ranks, edge_permutation, hex_digits, ranks_of_bits
-from .properties import GraphPropertyBase, input_bits
+from .properties import GraphPropertyBase, input_bits, split_blocks
 from .rng import SplitMix64
 
 GLOBAL_BUDGET_BITS = 24
@@ -193,9 +194,11 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
       - at f(x) = 1 they are the intersection of care(T) over the matched
         terms, the h-sets without a defect, minus the single-mismatch bits.
     f itself is evaluated once, at x.  The census must find a matched term
-    iff f(x) = 1, and at f(x) = 1 the witness term of f must match x, be one
-    of the matched terms and have the closed-form care count;
-    EvaluatorMismatch if not.
+    iff f(x) = 1.  At f(x) = 1 its first matched set must be the witness of
+    explain(x), since both are the lexicographically first h-set without a
+    defect, and the witness term of f must match x and have the closed-form
+    care count; EvaluatorMismatch if not.  Only the witness term is built
+    for a lone matched set.
 
     Any other function is evaluated at x and at every single-bit flip.
     """
@@ -216,22 +219,24 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
 
 def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
     """The graph property f's sensitive bits at bits, where f = fx, from
-    its census (see sensitivity_at)."""
-    terms, single = f.census(bits, deadline)
-    if bool(terms) != bool(fx):
+    its census (see sensitivity_at): the census gives the matched h-sets,
+    and each one's term is built once, the first through witness_term."""
+    matched, single = f.census(bits, deadline)
+    if bool(matched) != bool(fx):
         raise EvaluatorMismatch(
-            f"{f.name} gives f={fx}, but its census finds {len(terms)}"
+            f"{f.name} gives f={fx}, but its census finds {len(matched)}"
             " h-sets without a defect"
         )
     mismatch = {r for _, _, r in single}
     if not fx:
         return sorted(mismatch)
-    term = f.witness_term(bits)
-    if term not in terms:
+    witness = f.explain(bits).witness
+    if witness != matched[0]:
         raise EvaluatorMismatch(
-            f"witness term of {f.name} is none of the census's matched terms"
+            f"witness {witness} of {f.name} is not the census's first matched"
+            f" h-set {matched[0]}"
         )
-    care, want = term
+    care, want = f.witness_term(bits)
     size = f.witness_term_size()
     if bits & care != want or care.bit_count() != size:
         raise EvaluatorMismatch(
@@ -239,8 +244,9 @@ def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
             f" {care.bit_count()} care bits instead of {size}"
         )
     common = care
-    for other, _ in terms:
-        common &= other
+    if len(matched) > 1:
+        for other, _ in f._isolation_terms(matched[1:]):
+            common &= other
     return [r for r in ranks_of_bits(common) if r not in mismatch]
 
 
@@ -645,19 +651,22 @@ def certify_blocks(f, x, blocks) -> BlockCertificate:
     positions, all flip f at x.
 
     f is evaluated once at x.  A graph property gives f at each x ^ B by
-    its local rule, from the h-sets that meet B (see its flipped_values);
+    its local rule, from the h-sets that meet B (see its flipped_ranks);
     any other function is evaluated at each x ^ B.  The blocks are checked
-    in order, and the first bad one raises: a negative position, a position
-    shared with an earlier block or one >= n is a BadParameter, and a block
-    that leaves f unchanged a NonSensitiveBlock.
+    in order, and the first bad one raises: a position that is not an
+    integer, a negative one, one shared with an earlier block or one >= n
+    is a BadParameter, and a block that leaves f unchanged a
+    NonSensitiveBlock.  The certificate holds each block's positions
+    ascending, as Python ints.
     """
     bits = input_bits(f, x)
     fx = f.value(bits)
-    blocks, error = _checked_blocks(f.n, blocks)
+    rank, sizes, error = _checked_blocks(f.n, blocks)
+    sorted_blocks = split_blocks(rank.tolist(), sizes)
     if isinstance(f, GraphPropertyBase):
-        values = f.flipped_values(bits, fx, blocks)
+        values = f.flipped_ranks(bits, fx, rank, sizes)
     else:
-        values = (f.value(bits ^ bits_of_ranks(b)) for b in blocks)
+        values = (f.value(bits ^ bits_of_ranks(b)) for b in sorted_blocks)
     for idx, value in enumerate(values):
         if value == fx:
             raise NonSensitiveBlock(idx)
@@ -665,28 +674,74 @@ def certify_blocks(f, x, blocks) -> BlockCertificate:
         raise error
     return BlockCertificate(
         digest=input_digest(f.n, bits),
-        blocks=tuple(tuple(sorted(b)) for b in blocks),
-        count=len(blocks),
+        blocks=tuple(sorted_blocks),
+        count=len(sizes),
     )
 
 
-def _checked_blocks(n: int, blocks) -> tuple[list[list[int]], BadParameter | None]:
-    """(the blocks before the first bad one, as lists, the BadParameter of
-    that one or None).  A block is bad when, checked in this order, it has a
-    negative position, shares one with an earlier block or has one >= n;
-    the messages are those of bits_of_ranks and as_bits."""
-    good, used = [], set()
-    for idx, b in enumerate(blocks):
-        b = list(b)
-        if b and min(b) < 0:
-            return good, BadParameter(f"negative edge id {min(b)}")
-        if not used.isdisjoint(b):
-            return good, BadParameter(f"block #{idx} overlaps an earlier block")
-        if b and max(b) >= n:
-            return good, BadParameter(f"bitmask does not fit in {n} bits")
-        used.update(b)
-        good.append(b)
-    return good, None
+def _checked_blocks(
+    n: int, blocks
+) -> tuple[np.ndarray, list[int], BadParameter | None]:
+    """(the positions of the blocks before the first bad one, as one int64
+    array of each block's positions ascending, block after block; those
+    blocks' sizes; the BadParameter of the first bad block or None).
+
+    A block is bad when, checked in this order, it has a position that is
+    not an integer (a bool or a float is not), a negative one, one shared
+    with an earlier block or one >= n; the messages are those of
+    bits_of_ranks and as_bits.  The non-integers are found by type, the
+    rest by array passes over the positions of all blocks at once, tagged
+    with their block ids: in a stable sort by position, an entry overlaps
+    an earlier block when the entry before it holds the same position in
+    another block.  A position past the int64 range is clamped to -1 or n, which
+    keeps its block bad for the same reason, since every block before the
+    first bad one lies in [0, n); the message then quotes the block's own
+    least position."""
+    blocks = list(map(tuple, blocks))
+    sizes = list(map(len, blocks))
+    flat = list(chain.from_iterable(blocks))
+    nb, error = len(blocks), None
+    odd = {
+        kind
+        for kind in set(map(type, flat))
+        if kind is bool or not issubclass(kind, (int, np.integer))
+    }
+    if odd:
+        at = next(j for j, p in enumerate(flat) if type(p) in odd)
+        ends = np.cumsum(sizes)
+        nb = int(np.searchsorted(ends, at, side="right"))
+        error = BadParameter(f"block #{nb} has position {flat[at]!r}, not an integer")
+        flat = flat[: int(ends[nb]) - sizes[nb]]
+    try:
+        rank = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        rank = np.array([min(max(int(p), -1), n) for p in flat], dtype=np.int64)
+    block = np.repeat(np.arange(nb), sizes[:nb])
+    if len(rank) and (
+        rank.min() < 0 or rank.max() >= n or len(set(flat)) < len(flat)
+    ):
+        order = np.argsort(rank, kind="stable")
+        r, b = rank[order], block[order]
+        again = b[1:][(r[1:] == r[:-1]) & (b[1:] != b[:-1])]
+        firsts = [
+            int(hit.min()) if len(hit) else nb
+            for hit in (block[rank < 0], again, block[rank >= n])
+        ]
+        bad = min(firsts)
+        if bad < nb:
+            if firsts[0] == bad:
+                error = BadParameter(f"negative edge id {min(blocks[bad])}")
+            elif firsts[1] == bad:
+                error = BadParameter(f"block #{bad} overlaps an earlier block")
+            else:
+                error = BadParameter(f"bitmask does not fit in {n} bits")
+            keep = block < bad
+            rank, block, nb = rank[keep], block[keep], bad
+    # most blocks come sorted already: sort only when some block is not
+    down = np.flatnonzero(rank[1:] < rank[:-1])
+    if (block[down] == block[down + 1]).any():
+        rank = rank[np.lexsort((rank, block))]
+    return rank, sizes[:nb], error
 
 
 def enumerate_sensitive_tuples(spec, G) -> list[SensitiveTuple]:

@@ -16,7 +16,7 @@ Three families of constructions:
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -88,39 +88,54 @@ def triangle_packing(v: int) -> Packing:
 def clique_packing(v: int, k: int) -> Packing:
     """Greedy-to-maximality edge-disjoint complete (k+1)-vertex k-uniform
     cliques, scanning (k+1)-subsets in lex order and rejecting any candidate
-    that shares a k-subset with an accepted member.
+    that shares a k-subset with an accepted member: the constant-weight
+    lexicode of (k+1)-sets that pairwise share fewer than k points (Conway
+    and Sloane, "Lexicographic codes", IEEE Trans. IT 1986).
 
-    The candidates with least vertex a are a joined to the k-subsets of
-    a+1..v-1, the last C(v-1-a, k) of the k-subsets of 1..v-1 in lex order.
-    In the colex formula a adds C(a, 1) = a to the rank of each k-subset
-    holding it, so one gather at a = 0 ranks the k-subsets of every
-    candidate.  The used slots are a bytearray; before the greedy loop over
-    one a, the candidates holding a slot used at an earlier a are dropped
-    in bulk."""
+    The scan runs one (k-1)-prefix at a time.  A candidate is Q + (c, d)
+    for its first k-1 vertices Q and c < d above them, and its faces are
+    Q + c, Q + d and (Q - q) + (c, d) for each q in Q.  For each (k-1)-set
+    F a bitmask link[F] holds the z > max(F) with F + z a used face, so
+    every face is one bit of one mask: bit c of link[Q], bit d of link[Q]
+    and bit d of link[(Q - q) + c].  Over the prefixes Q in lex order, then
+    c ascending, the first free d is the lowest bit above c clear in
+    link[Q] | OR_q link[(Q - q) + c]; taking it uses Q + c, which every
+    later candidate with this (Q, c) holds, so one bit pick per (Q, c)
+    is the whole greedy.  The masks are indexed by colex rank, and the
+    rank of (Q - q) + c is that of Q - q plus C(c, k-1)."""
     if k < 2:
         raise BadParameter("need k >= 2")
     if v < k + 1:
         raise BadParameter(f"clique packing needs v >= k+1 = {k + 1}")
-    tails = lex_subsets(v - 1, k) + 1
-    faces = lex_subsets(k + 1, k)  # all but the last hold the least vertex
-    at_zero = np.concatenate([np.zeros_like(tails[:, :1]), tails], axis=1)
-    base = colex_ranks(v, k, at_zero[:, faces])
-    lift = np.arange(k + 1) < k
-    tails = tails.tolist()
-    used = bytearray(math.comb(v, k))
-    taken = np.frombuffer(used, dtype=bool)
-    is_used = used.__getitem__
+
+    def rank(S):
+        # S is sorted and in range: rank_subset's checks would double the
+        # time of the k = 3 scan rows
+        return sum(math.comb(a, j + 1) for j, a in enumerate(S))
+
+    link = [0] * math.comb(v, k - 1)
+    top = [math.comb(c, k - 1) for c in range(v)]
+    above = [((1 << v) - 1) & (-2 << c) for c in range(v)]
     members = []
-    for a in range(v - k):
-        start = len(tails) - math.comb(v - 1 - a, k)
-        ranks = base[start:] + a * lift
-        fresh = np.flatnonzero(~taken[ranks].any(axis=1))
-        for i, subs in zip(fresh.tolist(), ranks[fresh].tolist()):
-            if any(map(is_used, subs)):
+    for Q in combinations(range(v - 2), k - 1):
+        at = rank(Q)
+        drops = [rank(Q[:t] + Q[t + 1 :]) for t in range(k - 1)]
+        used = link[at]
+        for c in range(Q[-1] + 1, v - 1):
+            if used >> c & 1:
                 continue
-            for r in subs:
-                used[r] = 1
-            members.append((a, *tails[start + i]))
+            shift = top[c]
+            taken = used
+            for r in drops:
+                taken |= link[r + shift]
+            free = above[c] & ~taken
+            if free:
+                d = free & -free
+                used |= (1 << c) | d
+                for r in drops:
+                    link[r + shift] |= d
+                members.append((*Q, c, d.bit_length() - 1))
+        link[at] = used
     return Packing(v, k, tuple(members))
 
 

@@ -231,6 +231,31 @@ def certify_oracle(f, bits, blocks):
     return tuple(norm)
 
 
+def checked_blocks_oracle(n, blocks):
+    """Reference for `sensitivity._checked_blocks`, one block at a time:
+    (the blocks before the first bad one, as lists, the BadParameter of
+    that one or None).  A block is bad when, checked in this order, it has
+    a position that is not an int or numpy integer (a bool is not), a
+    negative one, one shared with an earlier block or one >= n."""
+    good, used = [], set()
+    for idx, b in enumerate(blocks):
+        b = list(b)
+        for p in b:
+            if isinstance(p, (bool, np.bool_)) or not isinstance(p, (int, np.integer)):
+                return good, BadParameter(
+                    f"block #{idx} has position {p!r}, not an integer"
+                )
+        if b and min(b) < 0:
+            return good, BadParameter(f"negative edge id {min(b)}")
+        if not used.isdisjoint(b):
+            return good, BadParameter(f"block #{idx} overlaps an earlier block")
+        if b and max(b) >= n:
+            return good, BadParameter(f"bitmask does not fit in {n} bits")
+        used.update(b)
+        good.append(b)
+    return good, None
+
+
 def bs_brute(f, x):
     """Exact bs(f, x) by dynamic programming over all 2^n block subsets.
 

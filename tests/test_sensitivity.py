@@ -1,5 +1,6 @@
 """Sensitivity engines against independent oracles."""
 
+import json
 import math
 import os
 import pathlib
@@ -16,6 +17,7 @@ from conftest import (
     block_level_oracle,
     bs_brute,
     certify_oracle,
+    checked_blocks_oracle,
     defects_oracle,
     digest_oracle,
     flip_all_oracle,
@@ -28,6 +30,9 @@ from conftest import (
     sensitive_tuples_oracle,
     table_property,
 )
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersens import sensitivity
 from hypersens.errors import (
@@ -78,6 +83,7 @@ from hypersens.witnesses import (
     build_isolated_vertex_witness,
     build_s0_witness,
     build_s1_witness,
+    packing_edge_blocks,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -251,14 +257,25 @@ _CENSUS_CASES = [
 ]
 
 
+def _two_cliques(f, seed):
+    """Two disjoint complete h-cliques and nothing else, relabelled by a
+    seeded permutation: two h-sets without a defect."""
+    h, k = f.h, f.k
+    edges = [*combinations(range(h), k), *combinations(range(h, 2 * h), k)]
+    G = Hypergraph.from_edges(f.v, k, edges)
+    return G.relabel(SplitMix64(seed).permutation(f.v)).bits
+
+
 def _census_inputs(f, seed):
     """The property's witness, the witness with one edge flipped (a present
-    edge, or any), the empty graph and random inputs of
-    densities 1/8 to 7/8."""
+    edge, or any), the empty graph, two disjoint h-cliques where they fit,
+    and random inputs of densities 1/8 to 7/8."""
     rng = SplitMix64(seed)
     w = f.witness()
     inside = ranks_of_bits(w)
     out = [w, 0]
+    if 2 * f.h <= f.v:
+        out.append(_two_cliques(f, seed))
     out += [w ^ 1 << inside[rng.below(len(inside))] for _ in range(3)]
     out += [w ^ 1 << rng.below(f.n) for _ in range(6)]
     for _ in range(3):
@@ -338,6 +355,54 @@ class _WrongWant(IsolatedTriangleProperty):
 def test_wrong_witness_terms_are_caught(f, x):
     with pytest.raises(EvaluatorMismatch):
         sensitivity_at(f, x)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        IsolatedTriangleProperty(30),
+        IsolatedVertexProperty(12),
+        IsolatedCliqueProperty(20, 3, 1, 4),
+        IsolatedCliqueProperty(14, 3, 2, 4),
+        IsolatedCliqueProperty(12, 3, 2, 5),
+    ],
+    ids=lambda f: "-".join(map(str, f.spec_json().values())),
+)
+def test_one_term_is_built_per_matched_set(f, monkeypatch):
+    """The census hands over the matched h-sets, not their terms: at an s1
+    witness _isolation_terms runs once, for the witness term, and with a
+    second matched set once more, for that set alone."""
+    calls = []
+    build = GraphPropertyBase._isolation_terms
+
+    def counted(self, sets):
+        calls.append(len(sets))
+        return build(self, sets)
+
+    monkeypatch.setattr(GraphPropertyBase, "_isolation_terms", counted)
+    assert sensitivity_at(f, f.witness()).f_value == 1
+    assert calls == [1]
+    if f.h == 1:
+        return  # the isolated-vertex witness has one isolated vertex
+    calls.clear()
+    assert sensitivity_at(f, _two_cliques(f, 7 + f.n)).f_value == 1
+    assert calls == [1, 1]
+
+
+class _FindsTheLastSet(IsolatedTriangleProperty):
+    """An evaluator whose witness is the lexicographically last h-set without
+    a defect, not the first."""
+
+    def _find(self, bits):
+        matched, _ = self.census(bits)
+        return matched[-1] if matched else None
+
+
+def test_a_witness_other_than_the_first_matched_set_is_caught():
+    f = _FindsTheLastSet(9)
+    assert sensitivity_at(f, f.witness()).s_at_x == 3 * 9 - 6  # one set: agreed
+    with pytest.raises(EvaluatorMismatch, match="not the census's first matched"):
+        sensitivity_at(f, _two_cliques(f, 13))
 
 
 def _dropped_terms():
@@ -854,11 +919,171 @@ class TestCertifyBlocks:
         else:
             assert certify_blocks(f, x, blocks).blocks == expected
 
+    @pytest.mark.parametrize(
+        "f, blocks, message",
+        [
+            (IsolatedTriangleProperty(6), [(0.5, 1, 2)], "position 0.5,"),
+            (IsolatedTriangleProperty(6), [(True, 0, 2)], "position True,"),
+            (IsolatedCliqueProperty(6, 3, 2, 4), [(1.0,)], "position 1.0,"),
+            (IsolatedCliqueProperty(6, 3, 2, 4), [(True, 0, 2)], "position True,"),
+            (IsolatedCliqueProperty(7, 3, 2, 5), [(np.float64(2),)], "position"),
+            (RubinsteinProperty(4), [(np.bool_(True),)], "position"),
+            (RubinsteinProperty(4), [("1",)], "position '1',"),
+            (IsolatedVertexProperty(5), [(None,)], "position None,"),
+        ],
+    )
+    def test_non_integer_positions_are_refused(self, f, blocks, message):
+        """A float, a bool or any other non-integer position is a
+        BadParameter, never truncated to an edge and certified."""
+        with pytest.raises(BadParameter, match=rf"block #0 has {message}"):
+            certify_blocks(f, 0, blocks)
+
+    def test_a_non_integer_block_is_bad_in_block_order(self):
+        f = IsolatedTriangleProperty(6)
+        x = f.witness()
+        fx = f.value(x)
+        flips = [r for r in range(f.n) if f.value(x ^ (1 << r)) != fx]
+        flat = next(r for r in range(f.n) if r not in flips)
+        with pytest.raises(BadParameter, match="block #1 has position 0.5"):
+            certify_blocks(f, x, [(flips[0],), (flips[1], 0.5), (-1,)])
+        with pytest.raises(BadParameter, match="negative edge id -1"):
+            certify_blocks(f, x, [(flips[0],), (-1,), (0.5,)])
+        with pytest.raises(NonSensitiveBlock, match="block #0"):
+            certify_blocks(f, x, [(flat,), (0.5,)])
+
+    def test_int64_rows_certify_as_python_ints(self):
+        f = IsolatedTriangleProperty(6)
+        blocks = packing_edge_blocks(f.packing())
+        rows = [np.array(b[::-1], dtype=np.int64) for b in blocks]
+        cert = certify_blocks(f, 0, rows)
+        assert cert.blocks == tuple(tuple(sorted(b)) for b in blocks)
+        assert all(type(r) is int for b in cert.blocks for r in b)
+        assert json.loads(json.dumps(cert.to_json()))["count"] == len(blocks)
+
     def test_index_disagreeing_with_value_is_a_mismatch(self, monkeypatch):
         f = IsolatedTriangleProperty(6)
         monkeypatch.setattr(f, "value", lambda x: 1)
         with pytest.raises(EvaluatorMismatch, match="edge index finds 0 h-sets"):
             certify_blocks(f, 0, [])
+
+
+# certify_blocks against checked_blocks_oracle: a property at i = 1, at
+# i = 2 with h = k+1 (the local rule), at i = 2 with h > k+1 (value per
+# block), and a block function; each at its witness, where the sensitive
+# single positions give good blocks to put bad ones after
+_CERT_PROPS = [
+    IsolatedTriangleProperty(6),
+    IsolatedCliqueProperty(6, 3, 2, 4),
+    IsolatedCliqueProperty(7, 3, 2, 5),
+    RubinsteinProperty(4),
+]
+_CERT_FLIPS = {
+    id(f): [r for r in range(f.n) if f.value(f.witness() ^ (1 << r)) != f.value(f.witness())]
+    for f in _CERT_PROPS
+}
+_BLOCK_KINDS = ("list", "tuple", "generator", "int64")
+
+
+def _shaped(kind, block):
+    """A fresh copy of the block as a list, a tuple, a generator or an int64
+    row (a list when a position is past int64)."""
+    if kind == "tuple":
+        return tuple(block)
+    if kind == "generator":
+        return (p for p in block)
+    if kind == "int64" and all(-(2**63) <= p < 2**63 for p in block):
+        return np.array(block, dtype=np.int64)
+    return list(block)
+
+
+def _oracle_certificate(f, x, blocks):
+    """certify_blocks by checked_blocks_oracle and one scalar value call per
+    good block: the certified blocks, each sorted, or (exception class,
+    message) of the first bad block, a non-flipping good one first."""
+    good, error = checked_blocks_oracle(f.n, blocks)
+    fx = f.value(x)
+    for idx, b in enumerate(good):
+        if f.value(x ^ sum(1 << int(r) for r in set(b))) == fx:
+            return NonSensitiveBlock, str(NonSensitiveBlock(idx))
+    if error is not None:
+        return BadParameter, str(error)
+    return tuple(tuple(sorted(b)) for b in good)
+
+
+def _certified(f, x, blocks):
+    """certify_blocks' certified blocks, or (exception class, message); a
+    certificate must hold Python ints and dump to JSON."""
+    try:
+        cert = certify_blocks(f, x, blocks)
+    except (BadParameter, NonSensitiveBlock) as exc:
+        return type(exc), str(exc)
+    assert all(type(r) is int for b in cert.blocks for r in b)
+    json.dumps(cert.to_json())
+    return cert.blocks
+
+
+def _assert_certified_as_oracle(f, raw, kinds):
+    x = f.witness()
+    expected = _oracle_certificate(f, x, [_shaped(k, b) for k, b in zip(kinds, raw)])
+    assert _certified(f, x, [_shaped(k, b) for k, b in zip(kinds, raw)]) == expected
+
+
+_POSITIONS = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([2**70, -(2**70), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_certify_blocks_matches_the_per_block_oracle(data):
+    """Random block lists: sensitive singletons, which may repeat across
+    blocks, and short lists of positions that may be negative, repeated,
+    past n or past int64, each block a list, tuple, generator or int64
+    row."""
+    f = data.draw(st.sampled_from(_CERT_PROPS))
+    block = st.one_of(
+        st.sampled_from(_CERT_FLIPS[id(f)]).map(lambda r: [r]),
+        st.lists(st.integers(0, f.n - 1), max_size=3),
+        st.lists(_POSITIONS, max_size=4),
+    )
+    raw = data.draw(st.lists(block, max_size=6))
+    kinds = data.draw(
+        st.lists(st.sampled_from(_BLOCK_KINDS), min_size=len(raw), max_size=len(raw))
+    )
+    _assert_certified_as_oracle(f, raw, kinds)
+
+
+@pytest.mark.parametrize("f", _CERT_PROPS, ids=lambda f: f.name + str(f.n))
+@pytest.mark.parametrize("kind", _BLOCK_KINDS)
+@pytest.mark.parametrize(
+    "tail",
+    [
+        [[-1]],
+        [[3, -5, -2]],
+        [[2**70]],
+        [[-(2**70), 1]],
+        [[2**63]],
+        [[-(2**63) - 1]],
+        [["spare", "first"]],
+        [["spare", "spare"]],
+        [["past_n"]],
+        [["spare", "past_n", 2**70]],
+        [["first", -1]],
+        [["past_n", "first"]],
+        [["spare"], ["second", "second"]],
+        [["second", "spare", "second"], ["spare"]],
+        [[], ["second"]],
+    ],
+)
+def test_certify_blocks_fixed_cases_match_the_per_block_oracle(f, kind, tail):
+    """After a sensitive singleton: negative positions, positions past
+    int64 both ways, overlaps, positions >= n and repeats inside a block,
+    alone and mixed, in every block container."""
+    flips = _CERT_FLIPS[id(f)]
+    name = {"first": flips[0], "spare": flips[1], "second": flips[2], "past_n": f.n}
+    raw = [[flips[0]]] + [[name.get(p, p) for p in b] for b in tail]
+    _assert_certified_as_oracle(f, raw, [kind] * len(raw))
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -117,6 +118,36 @@ class TestCliquePacking:
     def test_matches_the_set_of_tuples_oracle(self, k):
         for v in range(k + 1, 25):
             assert clique_packing(v, k).members == clique_packing_oracle(v, k)
+
+    @pytest.mark.parametrize(
+        "v,k,count,digest",
+        [
+            (44, 4, 17_558,
+             "d4db5a215f2a547a8c3e1ef19d306da6018f0515916572bc74f745d55d652985"),
+            (62, 4, 101_123,
+             "ca9debbc8c8162edd6963ad4d95a9558326ccb00fac7a43d7ef3b5f1778d7fb1"),
+        ],
+    )
+    def test_large_packings_are_pinned(self, v, k, count, digest):
+        """Member count and the SHA-256 of the members as compact JSON,
+        recorded from the greedy that ranked every candidate's faces in one
+        array gather, past the range the set-of-tuples oracle covers."""
+        members = clique_packing(v, k).members
+        text = json.dumps([list(m) for m in members], separators=(",", ":"))
+        assert len(members) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_stays_linear_in_the_faces(self):
+        """The link masks hold one int per (k-1)-set, C(44, 3) = 13,244 of
+        them at (44, 4); the greedy that held every candidate's faces at
+        once peaked at 69.7 MB under tracemalloc there."""
+        tracemalloc.start()
+        try:
+            clique_packing(44, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def test_select_vertex_disjoint():
