@@ -12,7 +12,8 @@ A sweep produces one row per v with up to four measured columns:
     bs_exact  exhaustive max of bs(f, x) over all inputs (tiny n only):
               every input's minimal blocks read off the checked truth
               table by a bit-packed subset-zeta transform, re-certified at
-              the argmax by the one-input level walk
+              the argmax by the one-input scan (the terms' mismatch sets
+              at f = 0, the level walk at f = 1)
 
 Cells that exceed the per-cell wall-clock budget are left empty and a
 warning is recorded; a sweep is never silently truncated.  Timing columns

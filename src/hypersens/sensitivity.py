@@ -19,17 +19,23 @@ the OR of x & care == want over its terms (bit-slicing in the sense of
 Biham, FSE 1997: one pass of word operations covers a whole chunk of
 inputs).  A function without terms, such as an arbitrary table, falls back
 to one scalar `value` call per input.  `truth_table` evaluates chunks of
-consecutive inputs.  `minimal_sensitive_blocks` walks one input's blocks
-level by level in ascending size, flipped through `evaluate_batch`, and
-skips a mask unflipped when one of its one-bit-smaller subsets already
-holds a sensitive block; each level, masks in colex order with the rows of
-those subsets, follows from the level below by a closed recurrence.
+consecutive inputs.  `minimal_sensitive_blocks` at an input x where
+f(x) = 0 reads the blocks off the terms in one pass: x ^ B matches a term
+(care, want) iff B & care is its mismatch set (x ^ want) & care, so the
+minimal blocks are the inclusion-minimal mismatch sets.  At f(x) = 1, or
+for a function without terms, it walks the blocks level by level in
+ascending size, flipped through `evaluate_batch`, and skips a mask
+unflipped when one of its one-bit-smaller subsets already holds a
+sensitive block; each level, masks in colex order with the rows of those
+subsets, follows from the level below by a closed recurrence.
 `block_sensitivity_global` reads every input's minimal blocks off the truth
 table packed 64 inputs to a word instead: B is sensitive at x iff
 table[x ^ B] != table[x], and an OR-zeta transform over the subsets marks
-the sensitive blocks with a sensitive proper subset.  bs(f, x) of a graph
-property is invariant under relabelling its v vertices, so only the least
-input of each S_v orbit is read, in ascending order.
+the sensitive blocks with a sensitive proper subset.  It packs an input's
+blocks only when their count, and the bits of their union over the size of
+the smallest one, both exceed the best packing so far.  bs(f, x) of a
+graph property is invariant under relabelling its v vertices, so only the
+least input of each S_v orbit is read, in ascending order.
 
 Batch results are spot-checked against the scalar evaluator, not proved
 by it.  `sensitivity_global` and `block_sensitivity_global` build the same
@@ -39,11 +45,12 @@ recompute their value at the argmax: s at the argmax of s0 and of s1 with
 `block_sensitivity_exact`; any difference raises EvaluatorMismatch.  A
 graph property's terms must also have the shape check_patterns() asks
 for, and its whole table must be invariant under two generators of S_v,
-which the orbit read needs.  A wrong `patterns()` term that passes these
-checks and changes neither a sampled input nor the argmax goes unseen: at
-n = 10 the samples hit 231 of the 1,024 inputs.  The full guard is
-`TestBatchEvaluator` in the tests, which compares every input for each
-property.
+which the orbit read needs.  The term read of `minimal_sensitive_blocks`
+raises EvaluatorMismatch when a term matches an input where scalar `value`
+gives 0.  A wrong `patterns()` term that passes these checks and changes
+neither a sampled input nor the argmax goes unseen: at n = 10 the samples
+hit 231 of the 1,024 inputs.  The full guard is `TestBatchEvaluator` in
+the tests, which compares every input for each property.
 `block_sensitivity_exact` builds its certificate through `certify_blocks`,
 which has the two paths of `sensitivity_at`.  It evaluates f once, at x.  A
 graph property then decides each f(x ^ B) locally, from the h-sets that meet
@@ -70,8 +77,9 @@ result is then flagged `capped` and is only guaranteed to be a lower bound.
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
+from operator import or_
 
 import numpy as np
 
@@ -269,8 +277,7 @@ def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
     """
     if f.n > BATCH_BITS:
         raise TooLarge(f"batch evaluation needs n <= {BATCH_BITS}, got {f.n}")
-    patterns = getattr(f, "patterns", None)
-    terms = patterns() if patterns is not None else None
+    terms = _terms(f)
     if terms is None:
         value = f.value
         return np.fromiter(
@@ -282,6 +289,12 @@ def evaluate_batch(f, xs: np.ndarray) -> np.ndarray:
         np.bitwise_and(xs, np.uint64(care), out=masked)
         out |= masked == np.uint64(want)
     return out
+
+
+def _terms(f) -> tuple[tuple[int, int], ...] | None:
+    """f.patterns(), or None when f has no `patterns` or none to give."""
+    patterns = getattr(f, "patterns", None)
+    return patterns() if patterns is not None else None
 
 
 def truth_table(f, deadline=None) -> np.ndarray:
@@ -470,9 +483,11 @@ def minimal_sensitive_blocks(
     as sorted position tuples in lexicographic order; the cap is at least 1,
     except at n = 0, where it is 0 and there is no block.
 
-    Levels come in ascending size from _next_level, BATCH_CHUNK masks at a
-    time; a mask is skipped unflipped when one of its one-bit-smaller
-    subsets is or contains a found block, since then it is not minimal."""
+    Where f(x) = 0 and f has patterns(), the blocks are read off the terms
+    by _term_blocks.  Elsewhere levels come in ascending size from
+    _next_level, BATCH_CHUNK masks at a time; a mask is skipped unflipped
+    when one of its one-bit-smaller subsets is or contains a found block,
+    since then it is not minimal."""
     n = f.n
     if n > GLOBAL_BUDGET_BITS:
         raise TooLarge(f"block scan over an n={n} input is out of scope")
@@ -481,6 +496,9 @@ def minimal_sensitive_blocks(
         raise BadParameter(f"need {least} <= max_block_size <= {n}")
     bits = input_bits(f, x)
     fx = bool(f.value(bits))
+    terms = _terms(f)
+    if not fx and terms is not None:
+        return _term_blocks(f, terms, bits, max_block_size)
     base = np.uint64(bits)
     found = [np.zeros(0, np.uint32)]
     level = _cached_level(n, 0)
@@ -506,6 +524,36 @@ def minimal_sensitive_blocks(
             break  # every larger mask contains a found block
         held = level_held
     return sorted(tuple(ranks_of_bits(m)) for m in np.concatenate(found).tolist())
+
+
+def _term_blocks(f, terms, bits: int, cap: int) -> list[tuple[int, ...]]:
+    """The minimal sensitive blocks of size <= cap at an input `bits` where
+    scalar value gives f = 0, read off f's (care, want) terms in one pass,
+    as minimal_sensitive_blocks returns them.
+
+    Each term T = (care, want) has the mismatch set M_T = (x ^ want) & care.
+    x ^ B matches T iff (x ^ B) & care == want, that is iff B & care == M_T:
+    B holds every bit of M_T and no other bit of T's care.  As f(x) = 0, B
+    is sensitive iff x ^ B matches some T.  So each M_T is itself a
+    sensitive block, and every sensitive block contains some M_T.  A
+    minimal block B thus equals the M_T inside it, and an M_T with no other
+    M_T inside is minimal, since any sensitive subset of it holds an M_T.
+    The minimal blocks are therefore the distinct M_T that hold no other
+    M_T.  The M_T above the cap are dropped first, which changes no test
+    among the rest, since an M_T inside a kept one is no larger.  An empty
+    M_T means that x matches T, so f(x) = 1 by the terms:
+    EvaluatorMismatch."""
+    mismatch = {(bits ^ want) & care for care, want in terms}
+    if 0 in mismatch:
+        raise EvaluatorMismatch(
+            f"scalar value gives f=0 at input {bits}, but a term of"
+            f" {f.name}'s patterns() matches it"
+        )
+    masks = np.array([m for m in mismatch if m.bit_count() <= cap], dtype=np.uint64)
+    # row i counts the masks inside mask i: only itself when it is minimal
+    inside = (masks[:, None] & masks) == masks
+    minimal = masks[inside.sum(axis=1) == 1]
+    return sorted(tuple(ranks_of_bits(m)) for m in minimal.tolist())
 
 
 def _minimal_blocks_everywhere(table: np.ndarray, n: int, inputs, deadline):
@@ -556,11 +604,13 @@ def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     """Exact max of bs(f, x) over all inputs; ties go to the smallest bitmask.
 
     The minimal blocks are read off the truth table checked by
-    _checked_table, in ascending input order; an input is packed only when
-    it has more minimal blocks than the best packing so far, since bs(f, x)
-    is at most their number.  bs is recomputed by `block_sensitivity_exact`
-    at the argmax, whose certificate `certify_blocks` re-verifies without
-    the table; EvaluatorMismatch on any difference.
+    _checked_table, in ascending input order.  An input is packed only when
+    its blocks could beat the best packing so far: a disjoint family of
+    them is no larger than their number, nor than the bits of their union
+    over the size of the smallest block.  bs is recomputed by
+    `block_sensitivity_exact` at the argmax, whose certificate
+    `certify_blocks` re-verifies without the table; EvaluatorMismatch on
+    any difference.
 
     A graph property's read covers only the least input of each orbit of
     S_v, the vertex relabellings; any other function's covers every input.
@@ -577,7 +627,11 @@ def block_sensitivity_global(f, deadline=None) -> GlobalBlockSensitivity:
     inputs = _orbit_minima(images, len(table), deadline)
     best, argmax = -1, 0
     for x, blocks in _minimal_blocks_everywhere(table, f.n, inputs, deadline):
-        if len(blocks) > best:
+        bound = 0
+        if blocks:  # in level order, so the smallest block is first
+            union = reduce(or_, blocks).bit_count()
+            bound = min(len(blocks), union // blocks[0].bit_count())
+        if bound > best:
             count, _ = _pack_blocks(blocks, deadline)
             if count > best:
                 best, argmax = count, x

@@ -632,17 +632,87 @@ _SCAN_CASES = [
 @pytest.mark.parametrize(
     "f, cap", _SCAN_CASES, ids=[f"{f.name}-n{f.n}-cap{c}" for f, c in _SCAN_CASES]
 )
-def test_minimal_blocks_match_table_oracle(f, cap):
-    """The level scan against the truth-table oracle; the table property has
-    no patterns, so it exercises the scalar fallback."""
+def test_minimal_blocks_match_table_oracle(f, cap, monkeypatch):
+    """The one-input scan against the truth-table oracle, at every input
+    when n <= 10 and otherwise at 8 seeded inputs of each value of f.  A
+    property with patterns() reads its blocks off the terms at a 0-input,
+    with no batch evaluation, and walks the levels at a 1-input; the table
+    and BitsProperty cases have no patterns, so they walk at both, through
+    the scalar fallback."""
     table = _scalar_table(f)
-    rng = SplitMix64(53)
-    for x in [0] + [rng.bits(f.n) for _ in range(4)]:
+    if f.n <= 10:
+        xs = range(1 << f.n)
+    else:
+        rng = SplitMix64(53)
+        xs = []
+        for side in (0, 1):
+            inputs, picked = np.flatnonzero(table == side), set()
+            while len(picked) < 8:
+                picked.add(int(inputs[rng.bits(32) % len(inputs)]))
+            xs += sorted(picked)
+    batches = []
+    evaluate = sensitivity.evaluate_batch
+    monkeypatch.setattr(
+        sensitivity, "evaluate_batch", lambda g, ys: batches.append(1) or evaluate(g, ys)
+    )
+    read_off_terms = hasattr(f, "patterns")
+    for x in xs:
         oracle = [
             b for b in minimal_blocks_from_table(table, x, f.n) if b.bit_count() <= cap
         ]
         expected = sorted(tuple(i for i in range(f.n) if b >> i & 1) for b in oracle)
+        batches.clear()
         assert minimal_sensitive_blocks(f, x, cap) == expected, (f.name, x)
+        assert bool(batches) == (table[x] == 1 or not read_off_terms), (f.name, x)
+
+
+def test_zero_inputs_with_terms_make_no_batch_call(monkeypatch):
+    """The 0-inputs of the benchmark's bs jobs, at n = 21 and 16: the blocks
+    come off the terms, and agree with the packed transform's."""
+
+    def refuse(f, xs):
+        raise AssertionError("evaluate_batch called")
+
+    cases = [
+        (IsolatedVertexProperty(7), Hypergraph(7, 2, 0x1A2F3D).bits, 6),
+        (IsolatedTriangleProperty(7), Hypergraph(7, 2, 0x0C0413).bits, 4),
+        (IsolatedTriangleProperty(7), 0, 3),
+        (CyclicRubinsteinProperty(4), 0, 8),
+    ]
+    expected = {}
+    for f, x, cap in cases:
+        assert f.value(x) == 0
+        _, masks = next(_minimal_blocks_everywhere(
+            truth_table(f), f.n, np.array([x], dtype=np.uint32), None
+        ))
+        expected[f.name, x] = sorted(
+            tuple(ranks_of_bits(m)) for m in masks if m.bit_count() <= cap
+        )
+    monkeypatch.setattr(sensitivity, "evaluate_batch", refuse)
+    for f, x, cap in cases:
+        assert minimal_sensitive_blocks(f, x, cap) == expected[f.name, x]
+    assert block_sensitivity_exact(IsolatedTriangleProperty(7), 0, 3).value == 7
+
+
+class _MatchesAZeroInput(IsolatedTriangleProperty):
+    """An extra term, edge 0 present and edge 1 absent, that the scalar
+    evaluator does not have."""
+
+    def patterns(self):
+        return super().patterns() + ((0b11, 0b01),)
+
+
+def test_a_term_matching_a_zero_input_is_a_mismatch():
+    f = _MatchesAZeroInput(5)
+    assert f.value(0b01) == 0
+    with pytest.raises(EvaluatorMismatch, match=r"f=0 at input 1, but a term"):
+        minimal_sensitive_blocks(f, 0b01, 3)
+    # no term matches the empty graph; there the extra term's block, edge 0
+    # alone, leaves the three triangles on edge 0 not minimal
+    triangles = minimal_sensitive_blocks(IsolatedTriangleProperty(5), 0, 3)
+    assert minimal_sensitive_blocks(f, 0, 3) == [(0,)] + [
+        b for b in triangles if 0 not in b
+    ]
 
 
 class TestBlockSensitivityExact:
@@ -748,6 +818,7 @@ class TestBlockSensitivityGlobal:
         assert len(seen) == 1 << f.n
         g = block_sensitivity_global(f)
         assert (g.value, g.argmax) == (max(seen), seen.index(max(seen)))
+        assert g.certificate == block_sensitivity_exact(f, g.argmax, f.n).certificate
         assert g.certificate.count == g.value
         assert certify_blocks(f, g.argmax, g.certificate.blocks).count == g.value
 
@@ -782,6 +853,30 @@ class TestBlockSensitivityGlobal:
         # one input per isomorphism class of graphs, every input of a table
         g = block_sensitivity_global(f)
         assert (g.value, g.argmax, g.inputs_walked) == (value, argmax, walked)
+
+    @pytest.mark.parametrize(
+        "f, packs",
+        [
+            (IsolatedVertexProperty(5), 5),
+            (IsolatedVertexProperty(6), 13),
+            (IsolatedTriangleProperty(6), 8),
+        ],
+        ids=lambda p: getattr(p, "name", None),
+    )
+    def test_capacity_bound_skips_packings(self, f, packs, monkeypatch):
+        """_pack_blocks runs only where the bits of an input's blocks over
+        its smallest block beat the best so far; the counts include the
+        re-check at the argmax.  Counting blocks alone packed 16, 74 and
+        137 times."""
+        pack = sensitivity._pack_blocks
+        calls = []
+        monkeypatch.setattr(
+            sensitivity,
+            "_pack_blocks",
+            lambda blocks, deadline=None: calls.append(1) or pack(blocks, deadline),
+        )
+        block_sensitivity_global(f)
+        assert len(calls) == packs
 
     def test_matches_brute_force_dp_on_random_tables(self):
         rng = SplitMix64(43)
@@ -1203,7 +1298,8 @@ def test_batch_rule_matches_per_block_oracle_and_value(f):
 def test_workload_paths_never_import_numpy_ma():
     """The first call of np.unique or np.isin imports numpy.ma, about 9 ms
     of a fresh process.  A fresh interpreter runs a triangle scan with
-    packing certificates, an exact bs at an f = 1 input, the exhaustive bs
+    packing certificates, an exact bs at an f = 1 input and at an f = 0
+    input, whose blocks come off the terms, the exhaustive bs
     of the isolated-vertex property, and the family route: the full v = 300,
     k = 3 family witness, the check of a 150-set GF(256) family and the
     certificate of a relabelled prefix witness.  numpy.ma stays
@@ -1221,6 +1317,8 @@ def test_workload_paths_never_import_numpy_ma():
             main("scan --property isolated-triangle --v-start 9 --v-end 57"
                  " --v-step 6 --columns s_lower,bs_lower".split())
             main("bsens --property isolated-triangle --v 5 --input witness"
+                 " --max-block-size 3".split())
+            main("bsens --property isolated-triangle --v 5 --input zeros"
                  " --max-block-size 3".split())
         block_sensitivity_global(IsolatedVertexProperty(5))
         build_family_witness(300, 3)
