@@ -634,22 +634,23 @@ _SCAN_CASES = [
 )
 def test_minimal_blocks_match_table_oracle(f, cap, monkeypatch):
     """The one-input scan against the truth-table oracle, at every input
-    when n <= 10 and otherwise at 8 seeded inputs of each value of f.  A
-    property with patterns() reads its blocks off the terms at a 0-input,
-    with no batch evaluation, and walks the levels at a 1-input; the table
-    and BitsProperty cases have no patterns, so they walk at both, through
-    the scalar fallback."""
+    when n <= 10 and otherwise at 0, 4 seeded random inputs and 8 seeded
+    inputs of each value of f.  A property with patterns() reads its blocks
+    off the terms at a 0-input, with no batch evaluation, and walks the
+    levels at a 1-input; the table and BitsProperty cases have no patterns,
+    so they walk at both, through the scalar fallback."""
     table = _scalar_table(f)
     if f.n <= 10:
         xs = range(1 << f.n)
     else:
         rng = SplitMix64(53)
-        xs = []
+        picked = {0} | {rng.bits(f.n) for _ in range(4)}
         for side in (0, 1):
-            inputs, picked = np.flatnonzero(table == side), set()
-            while len(picked) < 8:
-                picked.add(int(inputs[rng.bits(32) % len(inputs)]))
-            xs += sorted(picked)
+            inputs, drawn = np.flatnonzero(table == side), set()
+            while len(drawn) < 8:
+                drawn.add(int(inputs[rng.bits(32) % len(inputs)]))
+            picked |= drawn
+        xs = sorted(picked)
     batches = []
     evaluate = sensitivity.evaluate_batch
     monkeypatch.setattr(
