@@ -46,4 +46,4 @@ class ValueIsOne(DomainError):
 class EvaluatorMismatch(RuntimeError):
     """The batch evaluator disagreed with scalar `value`, or a witness term
     failed its checks: a programming error in some `patterns()` or
-    `witness_term()`, hence not a DomainError."""
+    `_isolation_terms()`, hence not a DomainError."""

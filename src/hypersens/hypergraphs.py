@@ -417,10 +417,6 @@ class Hypergraph:
         return cls(v, k, 0)
 
     @classmethod
-    def complete(cls, v: int, k: int) -> "Hypergraph":
-        return cls(v, k, (1 << math.comb(v, k)) - 1)
-
-    @classmethod
     def from_edges(cls, v: int, k: int, edges) -> "Hypergraph":
         cls.empty(v, k)  # checks 1 <= k <= v before any edge is read
         rows = []

@@ -27,12 +27,11 @@ exposes
 
 and the graph properties (GraphPropertyBase) alone also expose
 
-    witness_term(x)
-                 -- at f(x) = 1, the (care, want) term of the witness that
-                    explain(x) finds; every y with y & care == want has
-                    f(y) = 1, so only a care bit of x can be sensitive
     witness_term_size()
-                 -- popcount of every witness term's care, by closed form
+                 -- popcount of the care of every h-set's (care, want)
+                    term, by closed form; at f(x) = 1 every y that matches
+                    the witness's term has f(y) = 1, so only a care bit of
+                    x can be sensitive
     census(bits, deadline)
                  -- the near terms at bits, those within one flip of being
                     matched, from which sensitivity_at reads s(f, x): the
@@ -695,13 +694,9 @@ class GraphPropertyBase(Property):
         min_deg = math.comb(h - 1, k - 1) - slack
         return combinations([u for u in range(v) if deg[u] >= min_deg], h)
 
-    def witness_term(self, x):
-        """The (care, want) term of explain(x)'s witness, None at f(x) = 0."""
-        res = self.explain(x)
-        return None if res.value == 0 else self._isolation_terms([res.witness])[0]
-
     def witness_term_size(self) -> int:
-        """Closed-form popcount of the care of every witness_term."""
+        """Closed-form popcount of the care of every h-set's term, the
+        witness's included (see _isolation_terms)."""
         return math.comb(self.h, self.k) + boundary_count(
             self.v, self.h, self.i, self.k
         )

@@ -4,8 +4,8 @@ A sweep produces one row per v with up to four measured columns:
 
     s_lower   certified sensitivity lower bound: s(f, w) at the canonical
               1-side witness w, by sensitivity_at (a graph property's
-              census, checked against f and its witness term, or every
-              flip of a block function)
+              census, checked against f and the term of its first
+              matched h-set, or every flip of a block function)
     s_exact   exhaustive max over all 2^n inputs (n <= 24 only)
     bs_lower  size of the edge-disjoint packing certificate at the empty
               input, every block re-verified by evaluation

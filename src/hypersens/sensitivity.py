@@ -8,8 +8,9 @@ within Hamming distance 1 of x, decide f at the flips of x.  For a graph
 property the terms are the h-sets and the bits where x misses a term are
 its defects, and the property itself owns the census of the h-sets with at
 most one defect (GraphPropertyBase.census), so every sensitive bit comes
-with a single evaluation of f; the census is checked against f(x) and
-against the witness of f.  Any other function, the block functions
+with a single evaluation of f; the census is checked against f(x), and at
+f(x) = 1 the term of its first matched h-set, the witness, against x and
+the closed-form care count.  Any other function, the block functions
 included, is evaluated at x and at every single-bit flip, which is the
 definition of s(f, x).
 
@@ -77,7 +78,7 @@ result is then flagged `capped` and is only guaranteed to be a lower bound.
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from operator import or_
 
@@ -103,9 +104,6 @@ GLOBAL_CHECK_SEED = 0x5EED
 MAX_PACKING_BLOCKS = 10_000
 BATCH_BITS = 64  # inputs travel as uint64
 BATCH_CHUNK = 1 << 14  # inputs or words per batch step, bounding temporaries
-# block-scan levels up to this many masks are kept between calls; larger
-# ones are rebuilt per call, so that the cache stays small
-LEVEL_CACHE_MASKS = 1 << 14
 # in-word masks of the bits whose position has bit j clear, j = 0..5
 WORD_MASKS = tuple(np.uint64(m) for m in (
     0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
@@ -202,11 +200,10 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
       - at f(x) = 1 they are the intersection of care(T) over the matched
         terms, the h-sets without a defect, minus the single-mismatch bits.
     f itself is evaluated once, at x.  The census must find a matched term
-    iff f(x) = 1.  At f(x) = 1 its first matched set must be the witness of
-    explain(x), since both are the lexicographically first h-set without a
-    defect, and the witness term of f must match x and have the closed-form
-    care count; EvaluatorMismatch if not.  Only the witness term is built
-    for a lone matched set.
+    iff f(x) = 1.  At f(x) = 1 its first matched set, the lexicographically
+    first h-set without a defect, is the witness, and the witness's term
+    must match x and have the closed-form care count; EvaluatorMismatch if
+    not.  Only the witness term is built for a lone matched set.
 
     Any other function is evaluated at x and at every single-bit flip.
     """
@@ -228,7 +225,7 @@ def sensitivity_at(f, x, deadline=None) -> SensitivityReport:
 def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
     """The graph property f's sensitive bits at bits, where f = fx, from
     its census (see sensitivity_at): the census gives the matched h-sets,
-    and each one's term is built once, the first through witness_term."""
+    the first of them the witness, and each one's term is built once."""
     matched, single = f.census(bits, deadline)
     if bool(matched) != bool(fx):
         raise EvaluatorMismatch(
@@ -238,13 +235,7 @@ def _census_sensitive_bits(f, bits: int, fx: int, deadline) -> list[int]:
     mismatch = {r for _, _, r in single}
     if not fx:
         return sorted(mismatch)
-    witness = f.explain(bits).witness
-    if witness != matched[0]:
-        raise EvaluatorMismatch(
-            f"witness {witness} of {f.name} is not the census's first matched"
-            f" h-set {matched[0]}"
-        )
-    care, want = f.witness_term(bits)
+    care, want = f._isolation_terms(matched[:1])[0]
     size = f.witness_term_size()
     if bits & care != want or care.bit_count() != size:
         raise EvaluatorMismatch(
@@ -462,20 +453,6 @@ def _next_level(
     return masks, rows
 
 
-@lru_cache(maxsize=64)
-def _cached_level(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, subset rows) of one level, level 0 being the empty block;
-    each level comes from the one below by _next_level's colex recurrence.
-    Only for levels whose chain 1..size stays within LEVEL_CACHE_MASKS
-    masks."""
-    if size == 0:
-        masks, rows = np.zeros(1, dtype=np.uint32), np.zeros((1, 0), dtype=np.uint8)
-    else:
-        masks, rows = _next_level(*_cached_level(n, size - 1), n)
-    masks.flags.writeable = rows.flags.writeable = False
-    return masks, rows
-
-
 def minimal_sensitive_blocks(
     f, x, max_block_size: int, deadline=None
 ) -> list[tuple[int, ...]]:
@@ -501,13 +478,11 @@ def minimal_sensitive_blocks(
         return _term_blocks(f, terms, bits, max_block_size)
     base = np.uint64(bits)
     found = [np.zeros(0, np.uint32)]
-    level = _cached_level(n, 0)
+    # level 0: the empty block, with no one-bit-smaller subset
+    level = np.zeros(1, dtype=np.uint32), np.zeros((1, 0), dtype=np.uint8)
     held = np.zeros(1, dtype=bool)  # mask is or contains a block
     for size in range(1, max_block_size + 1):
-        if math.comb(n, min(size, n // 2)) <= LEVEL_CACHE_MASKS:
-            level = _cached_level(n, size)
-        else:
-            level = _next_level(*level, n)  # then the level below is freed
+        level = _next_level(*level, n)  # then the level below is freed
         masks, rows = level
         level_held = np.empty(len(masks), dtype=bool)
         for start in range(0, len(masks), BATCH_CHUNK):

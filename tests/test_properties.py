@@ -115,7 +115,7 @@ class TestCyclicRubinstein:
 class TestIsolatedVertex:
     def test_examples(self):
         assert IsolatedVertexProperty(4).explain(Hypergraph.empty(4, 2)).value == 1
-        assert IsolatedVertexProperty(5).explain(Hypergraph.complete(5, 2)).value == 0
+        assert IsolatedVertexProperty(5).explain(Hypergraph(5, 2, (1 << 10) - 1)).value == 0
         star = Hypergraph.from_edges(5, 2, [(0, u) for u in range(1, 5)])
         assert IsolatedVertexProperty(5).explain(star).value == 0
 
@@ -353,7 +353,8 @@ class TestBatchEvaluator:
 
 
 class TestWitnessTerm:
-    """witness_term against terms built independently of it."""
+    """The patterns() term of explain's witness against terms built
+    independently of _isolation_terms."""
 
     @pytest.mark.parametrize(
         "prop",
@@ -375,6 +376,8 @@ class TestWitnessTerm:
         # the h-clique on the lowest vertices (h = 1: the empty graph)
         inside = combinations(range(prop.h), prop.k)
         planted = Hypergraph.from_edges(prop.v, prop.k, inside)
+        # patterns() holds one term per h-set, in lexicographic order
+        term_of = dict(zip(combinations(range(prop.v), prop.h), prop.patterns()))
         rng = SplitMix64(73)
         ones = 0
         for j in range(200):
@@ -382,18 +385,16 @@ class TestWitnessTerm:
             x ^= rng.bits(prop.n) & rng.bits(prop.n) & rng.bits(prop.n)
             res = prop.explain(x)
             if not res.value:
-                assert prop.witness_term(x) is None
+                assert res.witness is None
                 continue
             ones += 1
             S = set(res.witness)
             care = sum(rank[e] for e in edges if len(S.intersection(e)) >= prop.i)
             want = sum(rank[e] for e in edges if S.issuperset(e))
-            assert prop.witness_term(x) == (care, want)
+            assert term_of[res.witness] == (care, want)
+            assert x & care == want
             assert care.bit_count() == prop.witness_term_size()
         assert ones
-
-    def test_no_term_at_zero(self):
-        assert IsolatedTriangleProperty(5).witness_term(0) is None
 
     @pytest.mark.parametrize(
         "v,k", [(v, k) for k in (2, 3, 4) for v in range(1, 10) if k < v or k == 2]

@@ -63,7 +63,6 @@ from hypersens.scaling import run_scan
 from hypersens.sensitivity import (
     GLOBAL_CHECK_SAMPLES,
     GLOBAL_CHECK_SEED,
-    _cached_level,
     _minimal_blocks_everywhere,
     _next_level,
     _orbit_minima,
@@ -202,6 +201,14 @@ _ORACLE_CASES = [
 ]
 
 
+def _assert_explain_finds_the_first_matched_set(f, x, report):
+    """At f(x) = 1, explain's witness is the census's first matched h-set:
+    both are the lexicographically first h-set without a defect, and
+    sensitivity_at builds the witness term from the census's."""
+    if report.f_value:
+        assert f.explain(x).witness == f.census(x)[0][0], x
+
+
 @pytest.mark.parametrize(
     "f", _ORACLE_CASES, ids=lambda f: "-".join(map(str, f.spec_json().values()))
 )
@@ -210,6 +217,7 @@ def test_witness_guided_flips_match_oracle_graphs(f):
     for x in _planted_graph_inputs(f, 61 + f.n):
         report = sensitivity_at(f, x)
         assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x), x
+        _assert_explain_finds_the_first_matched_set(f, x, report)
         seen.add(report.f_value)
     assert seen == {0, 1}
 
@@ -303,6 +311,7 @@ def test_census_matches_flip_oracles(f):
         got = (report.f_value, report.sensitive_bits)
         assert got == flip_all_oracle(f, x) == _naive_flips(f, x), x
         assert report.s_at_x == len(report.sensitive_bits)
+        _assert_explain_finds_the_first_matched_set(f, x, report)
         seen.add(report.f_value)
     assert seen == {0, 1}
 
@@ -324,6 +333,7 @@ def test_census_at_s1_witnesses_checks_every_bit(f):
     report = sensitivity_at(f, x)
     assert (report.f_value, report.sensitive_bits) == flip_all_oracle(f, x)
     assert report.s_at_x == f.witness_term_size()
+    _assert_explain_finds_the_first_matched_set(f, x, report)
 
 
 def test_census_respects_an_expired_deadline():
@@ -333,15 +343,15 @@ def test_census_respects_an_expired_deadline():
 
 
 class _DropsCareBit(IsolatedTriangleProperty):
-    def witness_term(self, x):
-        care, want = super().witness_term(x)
-        return care & (care - 1), want
+    def _isolation_terms(self, sets):
+        terms = super()._isolation_terms(sets)
+        return [(care & (care - 1), want) for care, want in terms]
 
 
 class _WrongWant(IsolatedTriangleProperty):
-    def witness_term(self, x):
-        care, want = super().witness_term(x)
-        return care, want & (want - 1)
+    def _isolation_terms(self, sets):
+        terms = super()._isolation_terms(sets)
+        return [(care, want & (want - 1)) for care, want in terms]
 
 
 @pytest.mark.parametrize(
@@ -353,7 +363,7 @@ class _WrongWant(IsolatedTriangleProperty):
     ids=["care-bit-dropped", "want-missing-an-edge"],
 )
 def test_wrong_witness_terms_are_caught(f, x):
-    with pytest.raises(EvaluatorMismatch):
+    with pytest.raises(EvaluatorMismatch, match="witness term"):
         sensitivity_at(f, x)
 
 
@@ -389,20 +399,35 @@ def test_one_term_is_built_per_matched_set(f, monkeypatch):
     assert calls == [1, 1]
 
 
-class _FindsTheLastSet(IsolatedTriangleProperty):
-    """An evaluator whose witness is the lexicographically last h-set without
-    a defect, not the first."""
+@pytest.mark.parametrize(
+    "f",
+    [
+        IsolatedTriangleProperty(12),
+        IsolatedVertexProperty(12),
+        IsolatedCliqueProperty(12, 3, 1, 4),
+        IsolatedCliqueProperty(10, 3, 2, 4),
+    ],
+    ids=lambda f: "-".join(map(str, f.spec_json().values())),
+)
+def test_one_h_set_search_per_report(f, monkeypatch):
+    """A report searches the h-sets once, through f(x), on both sides: at
+    f(x) = 1 the witness is the census's first matched set, not a second
+    or third search through explain."""
+    one = f.witness()
+    zero = next(x for x in _census_inputs(f, 5 + f.n) if not f.value(x))
+    calls = []
+    find = GraphPropertyBase._find
 
-    def _find(self, bits):
-        matched, _ = self.census(bits)
-        return matched[-1] if matched else None
+    def counted(self, bits):
+        calls.append(bits)
+        return find(self, bits)
 
-
-def test_a_witness_other_than_the_first_matched_set_is_caught():
-    f = _FindsTheLastSet(9)
-    assert sensitivity_at(f, f.witness()).s_at_x == 3 * 9 - 6  # one set: agreed
-    with pytest.raises(EvaluatorMismatch, match="not the census's first matched"):
-        sensitivity_at(f, _two_cliques(f, 13))
+    monkeypatch.setattr(GraphPropertyBase, "_find", counted)
+    assert sensitivity_at(f, one).f_value == 1
+    assert calls == [one]
+    calls.clear()
+    assert sensitivity_at(f, zero).f_value == 0
+    assert calls == [zero]
 
 
 def _dropped_terms():
@@ -579,7 +604,7 @@ class TestBlockLevels:
 
     @staticmethod
     def _levels(n, top):
-        level = _cached_level(n, 0)
+        level = np.zeros(1, dtype=np.uint32), np.zeros((1, 0), dtype=np.uint8)
         for size in range(1, top + 1):
             level = _next_level(*level, n)
             yield size, level
@@ -622,9 +647,9 @@ _SCAN_CASES = [
     (IsolatedCliqueProperty(5, 3, 1, 4), 10),
     (IsolatedCliqueProperty(5, 3, 2, 4), 6),
     (table_property(SplitMix64(47).bits(1 << 10), 10), 10),
-    # level 6 holds C(18, 6) = 18,564 masks, past LEVEL_CACHE_MASKS, so the
-    # walk builds it whole by the colex recurrence on every call; at 0 every
-    # 6-set is a minimal block
+    # the walk builds every level whole by the colex recurrence on every
+    # call, level 6 with C(18, 6) = 18,564 masks; at 0 every 6-set is a
+    # minimal block
     (BitsProperty(18, lambda x: int(x.bit_count() >= 6), "at-least-6"), 6),
 ]
 
